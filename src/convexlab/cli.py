@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal
 
-from .audit import audit_theorem
+from .audit import THEOREMS, audit_theorem, theorem_fn
 from .errors import AuditFailure, ConvexLabError, ParseError
 from .families import ALL_KINDS, growth_scan, scan_to_tsv
 from .functions import fn_by_name
@@ -33,8 +33,6 @@ from .energy import energy_report
 
 USAGE_ERROR, AUDIT_ERROR = 1, 2
 
-THEOREM_CHOICES = ("T1", "T2", "T3", "C_diffprod", "C_sumprod")
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -47,9 +45,7 @@ class RunConfig:
     command: str
     seed: int
     precision: int
-    workers: int
     output: str | None
-    fixtures: str | None
 
     def header(self, **extra) -> dict:
         return {
@@ -79,16 +75,14 @@ def _note(message: str) -> None:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="defaults to 0 (search: to the config's seed)")
     p.add_argument("--precision", type=int, default=30, help="significant digits in reports")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--output", default=None)
-    p.add_argument("--fixtures", default=None)
 
 
 def _run_config(args, command: str) -> RunConfig:
-    return RunConfig(command=command, seed=args.seed, precision=args.precision,
-                     workers=args.workers, output=args.output, fixtures=args.fixtures)
+    seed = 0 if args.seed is None else args.seed
+    return RunConfig(command=command, seed=seed, precision=args.precision, output=args.output)
 
 
 def cmd_stats(args) -> int:
@@ -147,15 +141,10 @@ def cmd_audit(args) -> int:
     cfg = _run_config(args, "audit")
     a = read_set_file(args.input)
     c = read_set_file(args.cset) if args.cset else None
-    which, fn_name = args.theorem, args.fn
-    if which == "C_diffprod":
-        which, fn_name = "T1", "log-as-product"
-    elif which == "C_sumprod":
-        which, fn_name = "T2", "log-as-product"
-    fn = fn_by_name(fn_name)
+    fn = theorem_fn(args.theorem, fn_by_name(args.fn))
     lines = [cfg.header(input=args.input, theorem=args.theorem, fn=fn.name)]
     try:
-        chain = audit_theorem(which, fn, a, c, digits=cfg.precision)
+        chain = audit_theorem(args.theorem, fn, a, c, digits=cfg.precision)
     except AuditFailure as failure:
         lines.append(failure.report.to_json_dict())
         lines.append({"type": "counterexample", "inputs": failure.inputs})
@@ -164,9 +153,9 @@ def cmd_audit(args) -> int:
         return AUDIT_ERROR
     lines.extend(chain.to_json_lines())
     status = 0
-    if cfg.fixtures:
+    if args.fixtures:
         key = args.fixture_key or f"{chain.theorem}/{fn.name}/n={len(a)}"
-        breaches = _fixture_breaches(cfg.fixtures, key, chain)
+        breaches = _fixture_breaches(args.fixtures, key, chain)
         lines.extend(breaches)
         if breaches:
             status = AUDIT_ERROR
@@ -186,7 +175,7 @@ def cmd_incidence(args) -> int:
     c = read_set_file(args.cset)
     taus = tuple(int(t) for t in args.tau.split(",")) if args.tau else (1, 2, 4, 8)
     grid, family = build_instance(fn, a, b, c)
-    report = count_incidences(grid, family, taus=taus, workers=cfg.workers)
+    report = count_incidences(grid, family, taus=taus, workers=args.workers)
     payload = {**cfg.header(fn=fn.name), "incidence": report.to_json_dict(cfg.precision)}
     levels = []
     for tau in taus:
@@ -216,10 +205,10 @@ def cmd_search(args) -> int:
     cfg = _run_config(args, "search")
     with open(args.config, encoding="utf-8") as fh:
         data = json.load(fh)
-    if args.seed is not None and args.seed != 0:
+    if args.seed is not None:
         data["seed"] = args.seed
     scfg = SearchConfig.from_json_dict(data)
-    outcome = extremal_search(scfg, workers=cfg.workers, digits=cfg.precision)
+    outcome = extremal_search(scfg, workers=args.workers, digits=cfg.precision)
     lines = [cfg.header(config=scfg.to_json_dict())]
     lines.extend(outcome.traces)
     lines.append({
@@ -247,10 +236,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("audit", help="replay a theorem chain on a set file")
     p.add_argument("--input", required=True)
-    p.add_argument("--theorem", choices=THEOREM_CHOICES, required=True)
+    p.add_argument("--theorem", choices=THEOREMS, required=True)
     p.add_argument("--fn", default="square",
                    help="square | power:k | reciprocal | exp2 | log-as-product")
     p.add_argument("--cset", default=None, help="optional C set file (default C = f(A))")
+    p.add_argument("--fixtures", default=None, help="chain fixture file to check the ratios against")
     p.add_argument("--fixture-key", default=None)
     _add_common(p)
     p.set_defaults(func=cmd_audit)
@@ -261,6 +251,7 @@ def build_parser() -> _Parser:
     p.add_argument("--cset", required=True)
     p.add_argument("--fn", default="square")
     p.add_argument("--tau", default=None, help="comma-separated richness thresholds")
+    p.add_argument("--workers", type=int, default=1)
     _add_common(p)
     p.set_defaults(func=cmd_incidence)
 
@@ -274,6 +265,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("search", help="simulated-annealing extremal search")
     p.add_argument("--config", required=True, help="JSON search configuration")
     p.add_argument("--best-set", default=None, help="write the best set to this file")
+    p.add_argument("--workers", type=int, default=1)
     _add_common(p)
     p.set_defaults(func=cmd_search)
 

@@ -13,7 +13,7 @@ structurally, which decides equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, ROUND_CEILING, ROUND_HALF_EVEN, localcontext
+from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -155,6 +155,8 @@ def _normalize(v) -> PowerProduct:
 def exact_fraction(v) -> Fraction | None:
     """The exact rational value of an expression, or None when it is irrational
     (or not provably rational by perfect-power extraction)."""
+    if isinstance(v, (int, Fraction)):
+        return Fraction(v)
     pp = _normalize(v)
     out = Fraction(1)
     for base, e in pp.factors:
@@ -272,40 +274,21 @@ def fraction_to_decimal(q: Fraction, digits: int = 30, rounding: str = ROUND_HAL
     return str(d)
 
 
-def decimal_of(v, digits: int = 30, rounding: str = ROUND_HALF_EVEN) -> str:
-    """Deterministic decimal rendering of any comparable expression.
+def decimal_of(v, digits: int = 30, rounding: str = ROUND_HALF_EVEN, den=1) -> str:
+    """Deterministic decimal rendering of v/den for nonnegative expressions.
 
-    Exact rationals render exactly; irrational values escalate interval
-    precision until both endpoints agree at the requested digit count (the
-    lower endpoint's rendering is used if the 4096-bit ceiling is reached,
-    which no catalog value does).
+    Exact rationals render exactly; irrational values walk the precision
+    ladder until both endpoints of the enclosure agree at the requested digit
+    count (the lower endpoint's rendering is used if the 4096-bit ceiling is
+    reached, which no catalog value does).
     """
-    ex = exact_fraction(v) if not isinstance(v, (int, Fraction)) else Fraction(v)
-    if ex is not None:
-        return fraction_to_decimal(ex, digits, rounding)
+    ev, ed = exact_fraction(v), exact_fraction(den)
+    if ev is not None and ed is not None:
+        return fraction_to_decimal(ev / ed, digits, rounding)
     for prec in LADDER:
-        lo, hi = value_bounds(v, prec)
-        slo = fraction_to_decimal(lo, digits, rounding)
-        shi = fraction_to_decimal(hi, digits, rounding)
+        slo, shi = (fraction_to_decimal(q, digits, rounding) for q in ratio_bounds(v, den, prec))
         if slo == shi:
-            return slo
-    return slo
-
-
-def decimal_of_ratio(num, den, digits: int = 30) -> str:
-    """Deterministic decimal rendering of num/den for nonnegative expressions."""
-    en = exact_fraction(num) if not isinstance(num, (int, Fraction)) else Fraction(num)
-    ed = exact_fraction(den) if not isinstance(den, (int, Fraction)) else Fraction(den)
-    if en is not None and ed is not None:
-        return fraction_to_decimal(en / ed, digits)
-    for prec in LADDER:
-        nlo, nhi = value_bounds(num, prec)
-        dlo, dhi = value_bounds(den, prec)
-        lo, hi = nlo / dhi, nhi / dlo
-        slo = fraction_to_decimal(lo, digits)
-        shi = fraction_to_decimal(hi, digits)
-        if slo == shi:
-            return slo
+            break
     return slo
 
 
@@ -314,12 +297,3 @@ def ratio_bounds(num, den, prec: int) -> tuple[Fraction, Fraction]:
     nlo, nhi = value_bounds(num, prec)
     dlo, dhi = value_bounds(den, prec)
     return nlo / dhi, nhi / dlo
-
-
-def decimal_round_up(v, digits: int = 30) -> str:
-    """Upper decimal rendering (round toward +infinity of an upper bound)."""
-    ex = exact_fraction(v) if not isinstance(v, (int, Fraction)) else Fraction(v)
-    if ex is not None:
-        return fraction_to_decimal(ex, digits, ROUND_CEILING)
-    _, hi = value_bounds(v, LADDER[0])
-    return fraction_to_decimal(hi, digits, ROUND_CEILING)

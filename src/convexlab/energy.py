@@ -81,17 +81,12 @@ def energy_cross_moment(a: NumberSet, b: NumberSet) -> int:
 
 def energy_third(a: NumberSet) -> int:
     """Third-moment energy E_3(A) = sum_s delta_A(s)**3."""
-    counts, _ = _scaled_counter(a, a, DIFFERENCE)
-    return sum(c ** 3 for c in counts.values())
+    return energy_report(a).E3
 
 
 def energy_threehalves(a: NumberSet) -> RadicalSum:
     """1.5-moment energy as an exact radical sum: each s adds delta * sqrt(delta)."""
-    counts, _ = _scaled_counter(a, a, DIFFERENCE)
-    raw: dict[int, int] = {}
-    for mult, times in Counter(counts.values()).items():
-        raw[mult] = raw.get(mult, 0) + mult * times
-    return RadicalSum(raw)
+    return energy_report(a).E15
 
 
 def level_set_count(rep: RepFunction, tau: int) -> int:
@@ -134,10 +129,12 @@ class EnergyReport:
 
 
 def energy_report(a: NumberSet) -> EnergyReport:
+    """E, E_3, E_1.5 and the largest multiplicity of A from one delta_A counter pass."""
     counts, _ = _scaled_counter(a, a, DIFFERENCE)
-    e = sum(c * c for c in counts.values())
-    e3 = sum(c ** 3 for c in counts.values())
-    raw: dict[int, int] = {}
-    for mult, times in Counter(counts.values()).items():
-        raw[mult] = raw.get(mult, 0) + mult * times
-    return EnergyReport(E=e, E3=e3, E15=RadicalSum(raw), max_multiplicity=max(counts.values()))
+    times = Counter(counts.values())  # multiplicity -> number of s carrying it
+    return EnergyReport(
+        E=sum(m * m * t for m, t in times.items()),
+        E3=sum(m ** 3 * t for m, t in times.items()),
+        E15=RadicalSum({m: m * t for m, t in times.items()}),
+        max_multiplicity=max(times),
+    )

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from decimal import ROUND_CEILING
 from fractions import Fraction
 from math import lcm
 
-from .comparison import compare_radical, decimal_round_up, power_product
+from .comparison import compare_radical, decimal_of, fraction_to_decimal, power_product, root_bounds
+from .energy import SUM, level_set_count, rep_function
 from .errors import EmptyInputError
 from .functions import ConvexFn, apply_fn
 from .sets import NumberSet, sumset
@@ -190,11 +192,9 @@ def st_bound_check(incidences: int, points: int, curves: int) -> bool:
 
 def st_bound_decimal(points: int, curves: int, digits: int = 30) -> str:
     """Decimal (round-up) rendering of 4(PL)^(2/3) + 4P + L."""
-    from .comparison import root_bounds
-
     pl = points * curves
     _, cbrt_hi = root_bounds(Fraction(pl * pl), 3, 192)
-    return decimal_round_up(4 * cbrt_hi + 4 * points + curves, digits)
+    return decimal_of(4 * cbrt_hi + 4 * points + curves, digits, ROUND_CEILING)
 
 
 @dataclass(frozen=True)
@@ -210,8 +210,6 @@ class LevelSetReport:
     flags: tuple[str, ...] = ()
 
     def to_json_dict(self, digits: int = 30) -> dict:
-        from .comparison import fraction_to_decimal
-
         return {
             "name": self.name,
             "tau": self.tau,
@@ -229,29 +227,27 @@ def _hypothesis_flags(a: NumberSet, b: NumberSet, c: NumberSet) -> tuple[bool, t
     return ok, flags
 
 
-def lemma_st1_ratio(fn: ConvexFn, a: NumberSet, b: NumberSet, c: NumberSet, tau: int) -> LevelSetReport:
-    """Level sets of sigma(f(A), C) against |A+B|^2 |C|^2 / (|B| tau^3)."""
-    from .energy import SUM, level_set_count, rep_function
-
+def _level_ratio(
+    name: str, fn: ConvexFn, a: NumberSet, b: NumberSet, c: NumberSet, tau: int, sigma_of_image: bool
+) -> LevelSetReport:
+    """Level sets of one sigma against the other side's sumset: the body of both lemmas."""
     if tau < 1:
         raise ValueError("tau must be >= 1")
     fn.require_audit_domain(a)
     fa = apply_fn(fn, a)
-    lhs = level_set_count(rep_function(fa, c, SUM), tau)
-    rhs = Fraction(len(sumset(a, b)) ** 2 * len(c) ** 2, len(b) * tau ** 3)
+    # st1 counts sigma(f(A), C) against |A+B|, st2 counts sigma(A, B) against |f(A)+C|
+    (x, y), (u, v) = ((fa, c), (a, b)) if sigma_of_image else ((a, b), (fa, c))
+    lhs = level_set_count(rep_function(x, y, SUM), tau)
+    rhs = Fraction(len(sumset(u, v)) ** 2 * len(y) ** 2, len(v) * tau ** 3)
     ok, flags = _hypothesis_flags(a, b, c)
-    return LevelSetReport("sum_level_image", tau, lhs, rhs, Fraction(lhs) / rhs, ok, flags)
+    return LevelSetReport(name, tau, lhs, rhs, Fraction(lhs) / rhs, ok, flags)
+
+
+def lemma_st1_ratio(fn: ConvexFn, a: NumberSet, b: NumberSet, c: NumberSet, tau: int) -> LevelSetReport:
+    """Level sets of sigma(f(A), C) against |A+B|^2 |C|^2 / (|B| tau^3)."""
+    return _level_ratio("sum_level_image", fn, a, b, c, tau, sigma_of_image=True)
 
 
 def lemma_st2_ratio(fn: ConvexFn, a: NumberSet, b: NumberSet, c: NumberSet, tau: int) -> LevelSetReport:
     """Level sets of sigma(A, B) against |f(A)+C|^2 |B|^2 / (|C| tau^3)."""
-    from .energy import SUM, level_set_count, rep_function
-
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
-    fn.require_audit_domain(a)
-    fa = apply_fn(fn, a)
-    lhs = level_set_count(rep_function(a, b, SUM), tau)
-    rhs = Fraction(len(sumset(fa, c)) ** 2 * len(b) ** 2, len(c) * tau ** 3)
-    ok, flags = _hypothesis_flags(a, b, c)
-    return LevelSetReport("sum_level_ground", tau, lhs, rhs, Fraction(lhs) / rhs, ok, flags)
+    return _level_ratio("sum_level_ground", fn, a, b, c, tau, sigma_of_image=False)

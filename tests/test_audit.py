@@ -1,3 +1,6 @@
+import hashlib
+import importlib
+import json
 import random
 from fractions import Fraction
 
@@ -20,7 +23,7 @@ from convexlab.audit import (
     corollary_e3a_ratios,
 )
 from convexlab.errors import AuditFailure, DomainError
-from convexlab.functions import LOG, SQUARE, power_fn
+from convexlab.functions import LOG, RECIPROCAL, SQUARE, power_fn
 from convexlab.families import FamilySpec, generate
 from convexlab.radicals import RadicalSum
 from convexlab.sets import NumberSet, difference_set
@@ -141,6 +144,20 @@ class TestCorollaryRatios:
         with pytest.raises(DomainError):
             corollary_e3a_ratios(LOG, nset(1, 2), nset(1, 2), nset(1, 2))
 
+    # sha256 of the JSON reports: they pin every byte of the six cap reports
+    @pytest.mark.parametrize("fn, f_is_diffset, digest", [
+        (SQUARE, True, "25478b65cdecf56cffd79e772585cb264bd48e3e550e1de5edb1897f581f0c3e"),
+        (SQUARE, False, "61255b34b1fb5a37aff13d84ae46486fedc94d47eab2ccb9e827500e35c31937"),
+        (RECIPROCAL, True, "eb0000d574eca54908134c46702cedb0f4b65483c90889fcb78b9f130238fed7"),
+        (RECIPROCAL, False, "e5e0d49a6a798a6dad2d4c004ef2bd86326f0f4c95688639615d035b457e6656"),
+    ])
+    def test_report_digests(self, fn, f_is_diffset, digest):
+        a = generate(FamilySpec("squares", 12))
+        c = generate(FamilySpec("random-convex", 12, seed=5))
+        reports = corollary_e3a_ratios(fn, a, c, difference_set(a, a) if f_is_diffset else c)
+        data = json.dumps([r.to_json_dict() for r in reports], sort_keys=True).encode()
+        assert hashlib.sha256(data).hexdigest() == digest
+
 
 SQ16 = nset(*(i * i for i in range(1, 17)))
 
@@ -219,6 +236,20 @@ class TestChains:
     def test_power_fn_chain(self):
         chain = audit_theorem("T1", power_fn(3), nset(*range(1, 9)))
         assert all(s.verdict in (PASS, REPORT_ONLY) for s in chain.steps)
+
+    @pytest.mark.parametrize("which, distinct", [("T1", 2), ("T2", 2), ("T3", 5), ("C_diffprod", 2)])
+    def test_each_pair_counter_built_once(self, which, distinct, monkeypatch):
+        energy = importlib.import_module("convexlab.energy")  # the package exports a function of that name
+        built = []
+        original = energy._scaled_counter
+
+        def recording(a, b, mode):
+            built.append((a.elements, b.elements, mode))
+            return original(a, b, mode)
+
+        monkeypatch.setattr(energy, "_scaled_counter", recording)
+        audit_theorem(which, SQUARE, generate(FamilySpec("squares", 12)))
+        assert len(built) == len(set(built)) == distinct
 
     def test_json_lines_shape(self):
         chain = audit_theorem("T1", SQUARE, nset(1, 2, 4, 8))

@@ -1,9 +1,11 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
 from convexlab.cli import main
+from convexlab.families import FamilySpec, generate
 from convexlab.sets import NumberSet, read_set_file, write_set_file
 
 
@@ -65,6 +67,24 @@ class TestUsageErrors:
         path = set_file("a.txt", [1, 2])
         assert run(["audit", "--input", path, "--theorem", "T9"], capsys)[0] == 1
 
+    @pytest.mark.parametrize("command, flag", [
+        ("stats", "--workers"), ("audit", "--workers"), ("scan", "--workers"),
+        ("stats", "--fixtures"), ("incidence", "--fixtures"), ("scan", "--fixtures"), ("search", "--fixtures"),
+    ])
+    def test_flag_only_where_used(self, command, flag, set_file, tmp_path, capsys):
+        a = set_file("a.txt", [1, 2, 4])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"objective": "diffProdRatio", "set_size": 4, "iterations": 0}))
+        argv = {
+            "stats": ["--input", a],
+            "audit": ["--input", a, "--theorem", "T1"],
+            "scan": ["--kind", "AP", "--sizes", "4,8"],
+            "incidence": ["--input", a, "--bset", a, "--cset", a],
+            "search": ["--config", str(cfg)],
+        }[command]
+        assert run([command, *argv], capsys)[0] == 0
+        assert run([command, *argv, flag, "1"], capsys)[0] == 1
+
 
 class TestAudit:
     def test_t1_squares_exit_zero(self, set_file, capsys):
@@ -113,6 +133,40 @@ class TestAudit:
         c = set_file("c.txt", [2, 3, 5, 7, 11, 13, 17, 19])
         code, out, _ = run(["audit", "--input", a, "--theorem", "T2", "--cset", c], capsys)
         assert code == 0
+
+
+# sha256 of whole `audit --output` reports: they pin every byte of each report.
+GOLDEN_SETS = {
+    "squares12": FamilySpec("squares", 12),
+    "rconvex12": FamilySpec("random-convex", 12, seed=5),
+    "ap4": FamilySpec("AP", 4, start=Fraction(1)),
+}
+GOLDEN_AUDITS = {
+    ("squares12", "T1", ()): "b2054c2e0e32312871d30e2d63c108c71bc0b9f0e6a8d52d26773de059af4acf",
+    ("squares12", "T2", ()): "03e18794b3485549b5127599847d258e3a3d2f7b3affff39fc4df770a311d6f7",
+    ("squares12", "T3", ()): "643931a33b2fa6bc229d8ab43e08cb3e9107c973f32951a5ae78b2f68da89da6",
+    ("squares12", "C_diffprod", ()): "603bb4c2493eacfd62156d993064244e8b1c01cf597bf58bb5fc43287921a7de",
+    ("squares12", "C_sumprod", ()): "44471577c7e5acdac2dfd7b22d483293cd8e16c5313c73ff2931ff920d065986",
+    ("rconvex12", "T1", ()): "8997b95fb7b20d9ca1e99c7bda7926383ea2d8cff7d7205c907157aa812887ee",
+    ("rconvex12", "T2", ()): "a54889109b2dc9e707f5fa5e782b622f5d7a917072642dc2cbc156dfd2db2c46",
+    ("rconvex12", "T3", ()): "673d77f89972f9013ab59679aa5abb109aa4b06977ea1811cc1c0b98312dff06",
+    ("rconvex12", "C_diffprod", ()): "8060eff33883665c340f566a5ea734b67dcb2619672f4c00c67751c0c05df486",
+    ("rconvex12", "C_sumprod", ()): "a24fc35c1018c8ffbee77bbab3f02cde1fdcd7b4e85e82dd7df27de49a29d3bb",
+    ("squares12", "T1", ("--cset", "ap4.txt")): "050be5d3261bd84fcb2ddc2e5267dbf4c33633f77aa74cd394484828220e98a9",
+    ("squares12", "T2", ("--cset", "ap4.txt")): "8e81be63905dfaae371bf1ea53049383fa67db5291781af4b6a8c020965d146e",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_AUDITS), ids=lambda c: "-".join((c[0], c[1], *c[2][1:])))
+def test_audit_report_digests(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the header records the input path as given
+    for name, spec in GOLDEN_SETS.items():
+        write_set_file(f"{name}.txt", generate(spec))
+    name, theorem, extra = case
+    code, _, _ = run(["audit", "--input", f"{name}.txt", "--theorem", theorem, "--fn", "square",
+                      *extra, "--output", "out.txt"], capsys)
+    assert code == 0
+    assert hashlib.sha256((tmp_path / "out.txt").read_bytes()).hexdigest() == GOLDEN_AUDITS[case]
 
 
 class TestIncidence:
@@ -174,6 +228,14 @@ class TestSearch:
         _, out2, _ = run(["search", "--config", cfg], capsys)
         _, out3, _ = run(["search", "--config", cfg, "--workers", "2"], capsys)
         assert out1 == out2 == out3
+
+    def test_seed_zero_overrides_config(self, tmp_path, capsys):
+        _, via_flag, _ = run(["search", "--config", self.make_config(tmp_path, iterations=20, seed=5),
+                              "--seed", "0"], capsys)
+        _, via_config, _ = run(["search", "--config", self.make_config(tmp_path, iterations=20, seed=0)], capsys)
+        flag_lines, config_lines = via_flag.splitlines(), via_config.splitlines()
+        assert json.loads(flag_lines[0])["config"]["seed"] == 0
+        assert flag_lines[1:] == config_lines[1:]
 
     def test_best_set_round_trip(self, tmp_path, capsys):
         cfg = self.make_config(tmp_path, iterations=25)

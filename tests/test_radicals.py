@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from convexlab.comparison import (
     compare_radical,
     decimal_of,
-    decimal_of_ratio,
     fraction_to_decimal,
     iroot_floor,
     log2_bounds,
@@ -157,7 +156,7 @@ class TestDecimals:
         assert s.startswith("1.4142135623730950488016887242")
 
     def test_ratio_rendering(self):
-        s = decimal_of_ratio(RadicalSum({2: 1}), 2, 20)
+        s = decimal_of(RadicalSum({2: 1}), 20, den=2)
         assert s.startswith("0.7071067811865475")
 
     def test_pow_frac_bounds_bracket(self):
