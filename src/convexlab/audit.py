@@ -48,7 +48,7 @@ from .comparison import (
 from .energy import EnergyReport, energy, energy_report
 from .errors import AuditFailure, DomainError, EmptyInputError
 from .functions import LOG, ConvexFn, apply_fn
-from .sets import NumberSet, difference_set, product_set, sumset
+from .sets import NumberSet, PairCounts, pair_counts
 
 PASS, FAIL, REPORT_ONLY = "PASS", "FAIL", "REPORT_ONLY"
 DECIDED = "PASS/FAIL"
@@ -90,9 +90,10 @@ class Quantities:
     """The sets and numbers one audit call reads, each computed at most once.
 
     Sets are named by role ("A", "B", "C", "F", the image "f(A)", "-A") or as
-    "X+Y" / "X-Y" of two roles.  Sets, moments and cross energies (integers
-    and radical sums, never a pair counter) are kept by name, so the pair
-    counter behind a quantity is built once however many steps read it.
+    "X+Y" / "X-Y" of two roles.  A combination's size is read from the pair
+    histogram its set comes from, which the left operand keeps, so |A-A| and
+    the moments of A share one delta_A.  Sets, moments and cross energies
+    (integers and radical sums) are kept by name for the call.
     """
 
     def __init__(self, roles: dict, fn: ConvexFn | None = None, log: Fraction | None = None):
@@ -113,16 +114,21 @@ class Quantities:
             return apply_fn(self.fn, self.set("A"))
         if name == "C":
             return self.set("f(A)")
+        return self._pairs(name).to_set()
+
+    def _pairs(self, name: str) -> PairCounts | None:
+        """The histogram whose support is the combination set `name`; None for a role."""
         if name == "f(A)+C" and self.fn.kind == "log":  # |log(A)+log(A)| is |A*A|
-            return product_set(self.set("A"), self.set("A"), log_equivalence=True)
-        x, plus, y = name.partition("+")
-        if plus:
-            return sumset(self.set(x), self.set(y))
-        x, _, y = name.partition("-")
-        return difference_set(self.set(x), self.set(y))
+            return pair_counts(self.set("A"), self.set("A"), "*")
+        for op in "+-":
+            x, found, y = name.partition(op)
+            if found and x:
+                return pair_counts(self.set(x), self.set(y), op)
+        return None
 
     def size(self, name: str) -> int:
-        return len(self.set(name))
+        pairs = self._pairs(name)
+        return len(self.set(name) if pairs is None else pairs)
 
     def moments(self, name: str) -> EnergyReport:
         name = "A" if name == "-A" else name  # delta_{-A}(s) = delta_A(-s): the same moments

@@ -21,14 +21,7 @@ from .functions import fn_by_name
 from .incidence import build_instance, count_incidences, lemma_st1_ratio, lemma_st2_ratio
 from .search import SearchConfig, extremal_search
 from .seeding import SEED_RULE
-from .sets import (
-    difference_set,
-    format_scalar,
-    product_set,
-    read_set_file,
-    sumset,
-    write_set_file,
-)
+from .sets import format_scalar, pair_counts, read_set_file, write_set_file
 from .energy import energy_report
 
 USAGE_ERROR, AUDIT_ERROR = 1, 2
@@ -88,13 +81,13 @@ def _run_config(args, command: str) -> RunConfig:
 def cmd_stats(args) -> int:
     cfg = _run_config(args, "stats")
     a = read_set_file(args.input)
-    report = energy_report(a)
+    report = energy_report(a)  # its delta_A histogram also gives |A-A|
     digits = cfg.precision
     sizes = {
         "size": len(a),
-        "sumset": len(sumset(a, a)),
-        "diffset": len(difference_set(a, a)),
-        "prodset": len(product_set(a, a)) if a.is_strictly_positive() else None,
+        "sumset": len(pair_counts(a, a, "+")),
+        "diffset": len(pair_counts(a, a, "-")),
+        "prodset": len(pair_counts(a, a, "*")) if a.is_strictly_positive() else None,
     }
     payload = {
         **cfg.header(input=args.input),

@@ -1,23 +1,26 @@
-"""Representation functions and the energy moments E, E_3, E_1.5.
+"""Representation functions and the energy moments E, E_3, E_1.5, read from the pair kernel.
 
 delta(A,B)(s) counts ordered pairs with a - b == s, sigma(A,B)(s) counts
-a + b == s.  All multiplicity maps are computed on the scaled-integer lattice
-(one Counter pass over |A||B| pairs), so the energies are exact integers; the
-1.5-moment is the exact RadicalSum  sum_s delta(s) * sqrt(delta(s)).
+a + b == s.  Both are the histogram `sets.pair_counts` returns for - and +
+on the (ints, denom) lattice, built once per (A, B) while A lives, on the
+numpy path where int64 is proven and in pure Python otherwise.  The moments
+read only its spectrum (multiplicity m -> how many s carry it), so they are
+exact integers, and the 1.5-moment is the exact RadicalSum sum_s delta(s) *
+sqrt(delta(s)).  Fractions are made only for `rep_function`'s map.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .comparison import decimal_of
-from .errors import EmptyInputError
 from .radicals import RadicalSum
-from .sets import NumberSet, common_scaling
+from .sets import NumberSet, PairCounts, pair_counts
 
 DIFFERENCE = "difference"
 SUM = "sum"
+OPS = {DIFFERENCE: "-", SUM: "+"}
 
 
 @dataclass(frozen=True)
@@ -41,21 +44,16 @@ class RepFunction:
         return len(self.support)
 
 
-def _scaled_counter(a: NumberSet, b: NumberSet, mode: str) -> tuple[Counter, int]:
-    if len(a) == 0 or len(b) == 0:
-        raise EmptyInputError("representation functions need nonempty sets")
-    ia, ib, denom = common_scaling(a, b)
-    if mode == DIFFERENCE:
-        return Counter(x - y for x in ia for y in ib), denom
-    if mode == SUM:
-        return Counter(x + y for x in ia for y in ib), denom
-    raise ValueError(f"mode must be {DIFFERENCE!r} or {SUM!r}")
+def _scaled_counter(a: NumberSet, b: NumberSet, mode: str) -> PairCounts:
+    if mode not in OPS:
+        raise ValueError(f"mode must be {DIFFERENCE!r} or {SUM!r}")
+    return pair_counts(a, b, OPS[mode])
 
 
 def rep_function(a: NumberSet, b: NumberSet, mode: str = DIFFERENCE) -> RepFunction:
     """Exact multiplicity map; its support equals the difference/sum set."""
-    counts, denom = _scaled_counter(a, b, mode)
-    support = {Fraction(v, denom): c for v, c in counts.items()}
+    counts = _scaled_counter(a, b, mode)
+    support = {Fraction(v, counts.denom): c for v, c in counts.items()}
     return RepFunction(mode=mode, support=support, size_a=len(a), size_b=len(b))
 
 
@@ -64,19 +62,15 @@ def energy(a: NumberSet, b: NumberSet, via: str = DIFFERENCE) -> int:
 
     Both routes are implemented and must agree; `via` picks the one to run.
     """
-    counts, _ = _scaled_counter(a, b, via)
-    return sum(c * c for c in counts.values())
+    return sum(m * m * t for m, t in _scaled_counter(a, b, via).spectrum.items())
 
 
 def energy_cross_moment(a: NumberSet, b: NumberSet) -> int:
     """The third equivalent form: sum_s delta_A(s) * delta_B(s)."""
-    da, _ = _scaled_counter(a, a, DIFFERENCE)
-    # delta_B must live on the same lattice as delta_A for keys to match
-    ia, ib, denom = common_scaling(a, b)
-    db = Counter(x - y for x in ib for y in ib)
-    la = a.scaled()[1]
-    scale = denom // la
-    return sum(c * db.get(s * scale, 0) for s, c in da.items())
+    da, db = _scaled_counter(a, a, DIFFERENCE), _scaled_counter(b, b, DIFFERENCE)
+    denom = lcm(da.denom, db.denom)  # match the keys on the common lattice
+    delta_b = {v * (denom // db.denom): c for v, c in db.items()}
+    return sum(c * delta_b.get(v * (denom // da.denom), 0) for v, c in da.items())
 
 
 def energy_third(a: NumberSet) -> int:
@@ -129,9 +123,8 @@ class EnergyReport:
 
 
 def energy_report(a: NumberSet) -> EnergyReport:
-    """E, E_3, E_1.5 and the largest multiplicity of A from one delta_A counter pass."""
-    counts, _ = _scaled_counter(a, a, DIFFERENCE)
-    times = Counter(counts.values())  # multiplicity -> number of s carrying it
+    """E, E_3, E_1.5 and the largest multiplicity of A from the spectrum of delta_A."""
+    times = _scaled_counter(a, a, DIFFERENCE).spectrum
     return EnergyReport(
         E=sum(m * m * t for m, t in times.items()),
         E3=sum(m ** 3 * t for m, t in times.items()),

@@ -13,6 +13,15 @@ class DomainError(ConvexLabError):
     """A function was applied outside its exact or convex domain."""
 
 
+class BudgetError(ConvexLabError):
+    """An input is beyond desk scale; raised before any work on it starts."""
+
+
+def over_budget(what: str, value: int, budget: str, limit: int) -> BudgetError:
+    """BudgetError naming the desk-scale `budget` that `value` exceeds; the caller raises it."""
+    return BudgetError(f"{what} {value} exceeds the desk-scale budget {budget} = {limit}")
+
+
 class ParseError(ConvexLabError):
     """A set file or scalar literal could not be parsed exactly."""
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .comparison import fraction_to_decimal, log2_upper
 from .functions import ConvexFn, apply_fn
 from .seeding import derive_seed
-from .sets import NumberSet, difference_set, product_set, sumset
+from .sets import NumberSet, pair_counts
 
 CONVEX_KINDS = ("squares", "powers", "geometric", "random-convex")
 ALL_KINDS = ("AP",) + CONVEX_KINDS + ("random-uniform",)
@@ -128,12 +128,12 @@ def growth_scan(kind: str, fn: ConvexFn | None, sizes: list[int], seed: int = 0,
     for n in sizes:
         a = generate(replace(template, kind=kind, n=n, seed=seed))
         values: dict[str, int | None] = {
-            "sumset": len(sumset(a, a)),
-            "diffset": len(difference_set(a, a)),
-            "prodset": len(product_set(a, a)) if a.is_strictly_positive() else None,
+            "sumset": len(pair_counts(a, a, "+")),
+            "diffset": len(pair_counts(a, a, "-")),
+            "prodset": len(pair_counts(a, a, "*")) if a.is_strictly_positive() else None,
         }
         if fn is not None:
-            values["a_plus_fa"] = len(sumset(a, apply_fn(fn, a)))
+            values["a_plus_fa"] = len(pair_counts(a, apply_fn(fn, a), "+"))
         else:
             values["a_plus_fa"] = None
         logn = _log2(n)

@@ -18,11 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, EmptyInputError
+from .errors import DomainError, EmptyInputError, over_budget
 from .sets import NumberSet
 
 EXACT = "exact-on-rationals"
 PRODUCT_EQUIVALENT = "product-set-equivalent"
+POWER_BUDGET = 64  # largest k in power:k
+EXP2_BUDGET = 1 << 14  # largest |x| in exp2(x): 2**x has at most 16 Ki bits
 
 
 @dataclass(frozen=True)
@@ -31,6 +33,10 @@ class ConvexFn:
     k: int = 2              # exponent, only meaningful for kind == "power"
     exactness: str = EXACT
     shape: str = "convex"   # "convex" | "concave" on the declared domain
+
+    def __post_init__(self):
+        if self.k > POWER_BUDGET:
+            raise over_budget("power:k exponent", self.k, "POWER_BUDGET", POWER_BUDGET)
 
     @property
     def name(self) -> str:
@@ -50,6 +56,8 @@ class ConvexFn:
             if q.denominator != 1:
                 raise DomainError(f"exp2 is exact only on integers, got {q}")
             e = q.numerator
+            if not -EXP2_BUDGET <= e <= EXP2_BUDGET:
+                raise over_budget("exp2 argument", e, "EXP2_BUDGET", EXP2_BUDGET)
             return Fraction(2 ** e) if e >= 0 else Fraction(1, 2 ** (-e))
         raise DomainError("log is never evaluated numerically; route through product_set")
 
@@ -118,7 +126,7 @@ def fn_by_name(name: str) -> ConvexFn:
 
 
 def apply_fn(fn: ConvexFn, a: NumberSet) -> NumberSet:
-    """Image set f(A), computed exactly.
+    """Image set f(A), computed exactly, once per function while A lives.
 
     On the injective domains of the catalog |f(A)| == |A|.  square/power
     accept mixed-sign inputs too, in which case collisions may shrink the
@@ -128,4 +136,4 @@ def apply_fn(fn: ConvexFn, a: NumberSet) -> NumberSet:
         raise EmptyInputError("apply_fn requires a nonempty set")
     if fn.kind == "log":
         raise DomainError("log is never evaluated; use product_set for |log(A)+log(A)|")
-    return NumberSet(fn.apply(q) for q in a)
+    return a.memo(fn, lambda: NumberSet(fn.apply(q) for q in a))

@@ -17,10 +17,9 @@ from fractions import Fraction
 from math import lcm
 
 from .comparison import compare_radical, decimal_of, fraction_to_decimal, power_product, root_bounds
-from .energy import SUM, level_set_count, rep_function
 from .errors import EmptyInputError
 from .functions import ConvexFn, apply_fn
-from .sets import NumberSet, sumset
+from .sets import NumberSet, pair_counts, sumset
 
 Counters = dict[tuple[int, int], int]
 
@@ -235,10 +234,11 @@ def _level_ratio(
         raise ValueError("tau must be >= 1")
     fn.require_audit_domain(a)
     fa = apply_fn(fn, a)
-    # st1 counts sigma(f(A), C) against |A+B|, st2 counts sigma(A, B) against |f(A)+C|
+    # st1 counts sigma(f(A), C) against |A+B|, st2 counts sigma(A, B) against |f(A)+C|;
+    # both sigmas are the sumset histograms, kept on A and f(A) across taus and lemmas
     (x, y), (u, v) = ((fa, c), (a, b)) if sigma_of_image else ((a, b), (fa, c))
-    lhs = level_set_count(rep_function(x, y, SUM), tau)
-    rhs = Fraction(len(sumset(u, v)) ** 2 * len(y) ** 2, len(v) * tau ** 3)
+    lhs = sum(t for m, t in pair_counts(x, y, "+").spectrum.items() if m >= tau)
+    rhs = Fraction(len(pair_counts(u, v, "+")) ** 2 * len(y) ** 2, len(v) * tau ** 3)
     ok, flags = _hypothesis_flags(a, b, c)
     return LevelSetReport(name, tau, lhs, rhs, Fraction(lhs) / rhs, ok, flags)
 

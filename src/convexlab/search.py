@@ -26,7 +26,7 @@ from .errors import DomainError
 from .families import FamilySpec, generate
 from .functions import ConvexFn, apply_fn, fn_by_name
 from .seeding import derive_seed
-from .sets import NumberSet, difference_set, product_set, sumset
+from .sets import NumberSet, count_pairs
 
 OBJECTIVES = ("T1ratio", "T2ratio", "diffProdRatio", "sumProdRatio")
 MOVES = ("element-replace", "gap-perturb")
@@ -126,16 +126,19 @@ def normalization_constant(objective: str, n: int) -> Fraction:
 
 
 def objective_core(objective: str, a: NumberSet, fn: ConvexFn) -> int:
-    """The integer part of the objective: the max of the two combination sizes."""
+    """The integer part of the objective: the larger of two pair-histogram sizes.
+
+    Each annealing step reads a new set once, so the histograms are not kept
+    on it: `current` and `best` would hold them for the rest of the run.
+    """
     if objective in ("diffProdRatio", "sumProdRatio"):
-        grown = len(product_set(a, a, log_equivalence=True))
+        if not a.is_strictly_positive():
+            raise DomainError("log-equivalent product set requires strictly positive elements")
+        grown = len(count_pairs(a, a, "*"))
     else:
         fa = apply_fn(fn, a)
-        grown = len(sumset(fa, fa))
-    if objective in ("T1ratio", "diffProdRatio"):
-        other = len(difference_set(a, a))
-    else:
-        other = len(sumset(a, a))
+        grown = len(count_pairs(fa, fa, "+"))
+    other = len(count_pairs(a, a, "-" if objective in ("T1ratio", "diffProdRatio") else "+"))
     return max(grown, other)
 
 

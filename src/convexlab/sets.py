@@ -1,21 +1,47 @@
-"""Finite sets of exact rationals and their combination sets.
+"""Finite sets of exact rationals in scaled-integer form, and the one pair kernel.
 
-Elements are `fractions.Fraction` values (arbitrary-precision, always in
-lowest terms), so set cardinalities are exact and every inequality audit
-downstream is an exact integer/algebraic statement.  The pairwise set
-operations run on a scaled-integer representation internally: all elements
-are multiplied by the lcm of their denominators once, so the O(|A||B|) inner
-loops work on plain ints.
+A `NumberSet` is kept as `(ints, denom)`: elements ints[i] / denom, `ints`
+strictly increasing, `denom` the lcm of the reduced denominators (one gcd pass
+brings any lattice to it), so equal sets have equal forms.  The Fractions of
+`elements` are built only when read, in the same order.
+
+Every pairwise loop is `pair_counts(a, b, op)`, the multiplicity histogram of
+x op y over A x B for op in + - * (+ and - on the lattice lcm(denom_a, denom_b),
+* on denom_a * denom_b).  Set sizes, combination sets and energy moments all
+read it.  It is kept on `a`, keyed by (op, b), and dies with `a`;
+`count_pairs` is the same count unkept, for sets that are read once.
+
+numpy counts only where int64 is proven up front (max|x| + max|y| < 2**62 for
++ and -, max|x| * max|y| < 2**62 for *) and the count has NUMPY_MIN_PAIRS pairs
+or more; it is imported then, and counts value windows of at most BLOCK_PAIRS
+pairs each.  All other counts, and all counts without numpy, run in pure
+Python on exact ints, with the same result.  Counts above PAIR_BUDGET pairs
+fail before they start.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
+from bisect import bisect_left
+from collections import Counter
+from collections.abc import Collection, Iterable
+from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import product, starmap
+from math import gcd, lcm
+from operator import add, mul, sub
+from weakref import ref
 
-from .errors import DomainError, EmptyInputError, ParseError
+from .errors import DomainError, EmptyInputError, ParseError, over_budget
 
 Scalar = Fraction
+
+PAIR_BUDGET = 1 << 25  # pairs in one count; T3 on random-convex n=256 needs 16.8M
+# From 2**16 pairs numpy saves about 20 ms per count (38-bit lattice, 2 cores),
+# so a few counts repay its import (about 130 ms and 14 MB); below 2**15 it
+# saves under 10 ms, and runs made of such counts would not repay it.
+NUMPY_MIN_PAIRS = 1 << 16
+INT64_SAFE = 1 << 62
+BLOCK_PAIRS = 1 << 16  # pairs per numpy window: its few temporary arrays stay near 2 MB
+OPERATORS = {"+": add, "-": sub, "*": mul}
 
 
 def parse_scalar(text: str) -> Fraction:
@@ -38,33 +64,49 @@ def format_scalar(q: Fraction) -> str:
 
 
 class NumberSet:
-    """A finite, duplicate-free, sorted collection of exact rationals."""
+    """A finite, duplicate-free, sorted set of exact rationals: ints[i] / denom."""
 
-    __slots__ = ("elements", "_members", "_scaled")
+    __slots__ = ("ints", "denom", "_elements", "_memo", "__weakref__")
 
     def __init__(self, values: Iterable = ()):
-        elems = sorted({v if isinstance(v, Fraction) else Fraction(v) for v in values})
-        self.elements: tuple[Fraction, ...] = tuple(elems)
-        self._members = frozenset(elems)
-        self._scaled: tuple[tuple[int, ...], int] | None = None
+        fracs = {v if isinstance(v, Fraction) else Fraction(v) for v in values}
+        denom = lcm(*(q.denominator for q in fracs))
+        self._init(sorted(q.numerator * (denom // q.denominator) for q in fracs), denom)
+
+    def _init(self, ints, denom: int) -> None:
+        self.ints: tuple[int, ...] = tuple(ints)
+        self.denom = denom
+        self._elements: tuple[Fraction, ...] | None = None
+        self._memo: dict = {}
+
+    @property
+    def elements(self) -> tuple[Fraction, ...]:
+        if self._elements is None:
+            self._elements = tuple(Fraction(v, self.denom) for v in self.ints)
+        return self._elements
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.ints)
 
     def __iter__(self):
         return iter(self.elements)
 
     def __contains__(self, value) -> bool:
-        return value in self._members
+        q = value if isinstance(value, Fraction) else Fraction(value)
+        if self.denom % q.denominator:
+            return False
+        v = q.numerator * (self.denom // q.denominator)
+        i = bisect_left(self.ints, v)
+        return i < len(self.ints) and self.ints[i] == v
 
     def __getitem__(self, i) -> Fraction:
         return self.elements[i]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, NumberSet) and self.elements == other.elements
+        return isinstance(other, NumberSet) and (self.ints, self.denom) == (other.ints, other.denom)
 
     def __hash__(self) -> int:
-        return hash(self.elements)
+        return hash((self.ints, self.denom))
 
     def __repr__(self) -> str:
         inner = ", ".join(format_scalar(q) for q in self.elements[:8])
@@ -74,72 +116,164 @@ class NumberSet:
 
     def scaled(self) -> tuple[tuple[int, ...], int]:
         """Integer representation: (k_1..k_n, L) with element_i == k_i / L."""
-        if self._scaled is None:
-            if not self.elements:
-                self._scaled = ((), 1)
-            else:
-                denom = lcm(*(q.denominator for q in self.elements))
-                ints = tuple(q.numerator * (denom // q.denominator) for q in self.elements)
-                self._scaled = (ints, denom)
-        return self._scaled
+        return self.ints, self.denom
+
+    def memo(self, key, build):
+        """build(), computed once per key and kept until this set dies."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     def is_strictly_positive(self) -> bool:
-        return bool(self.elements) and self.elements[0] > 0
+        return bool(self.ints) and self.ints[0] > 0
 
     def is_nonnegative(self) -> bool:
-        return bool(self.elements) and self.elements[0] >= 0
+        return bool(self.ints) and self.ints[0] >= 0
 
     def is_convex(self) -> bool:
         """Strictly increasing consecutive gaps (vacuously true for n <= 2)."""
-        e = self.elements
+        e = self.ints
         return all(e[i] - e[i - 1] < e[i + 1] - e[i] for i in range(1, len(e) - 1))
 
     def negate(self) -> "NumberSet":
-        return _from_sorted(tuple(-q for q in reversed(self.elements)))
+        return _from_ints([-v for v in reversed(self.ints)], self.denom)
 
     def to_lines(self) -> str:
         return "\n".join(format_scalar(q) for q in self.elements) + "\n"
 
 
-def _from_sorted(elems: tuple[Fraction, ...]) -> NumberSet:
+def _from_ints(ints: list[int], denom: int) -> NumberSet:
+    """The set {v / denom} of sorted distinct ints, reduced to canonical form."""
+    g = gcd(denom, *ints)
+    if g > 1:
+        ints, denom = [v // g for v in ints], denom // g
     ns = NumberSet.__new__(NumberSet)
-    ns.elements = elems
-    ns._members = frozenset(elems)
-    ns._scaled = None
+    ns._init(ints, denom)
     return ns
 
 
-def _from_scaled(values, denom: int) -> NumberSet:
-    return _from_sorted(tuple(Fraction(v, denom) for v in sorted(values)))
+@dataclass(frozen=True, eq=False)
+class PairCounts:
+    """Histogram of x op y over A x B: values[i] / denom occurs counts[i] times.
+
+    `values` and `counts` are views of one dict, or numpy arrays on the numpy path.
+    `spectrum` maps each multiplicity to the number of values carrying it.
+    """
+
+    values: Collection[int]
+    counts: Collection[int]
+    denom: int
+    spectrum: dict[int, int]
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def items(self):
+        """(value, count) pairs as Python ints."""
+        return zip(_plain(self.values), _plain(self.counts))
+
+    def to_set(self) -> NumberSet:
+        """The combination set itself: the support of the histogram."""
+        return _from_ints(sorted(_plain(self.values)), self.denom)
 
 
-def _require_nonempty(*sets: NumberSet) -> None:
-    for s in sets:
-        if len(s) == 0:
-            raise EmptyInputError("operation requires nonempty sets")
+def _plain(seq) -> Collection[int]:
+    return seq.tolist() if hasattr(seq, "tolist") else seq
 
 
-def common_scaling(a: NumberSet, b: NumberSet) -> tuple[list[int], list[int], int]:
-    """Rescale two sets onto one integer lattice: elements == ints / L."""
-    ia, la = a.scaled()
-    ib, lb = b.scaled()
-    denom = lcm(la, lb)
-    ma, mb = denom // la, denom // lb
-    return [x * ma for x in ia], [y * mb for y in ib], denom
+def pair_counts(a: NumberSet, b: NumberSet, op: str) -> PairCounts:
+    """Histogram of x op y over A x B for op in "+", "-", "*", built once per (a, op, b)."""
+    key = (op, id(b))
+    hit = a._memo.get(key)
+    if hit is None or hit[0]() is not b:  # the weak reference pins the id to b
+        hit = a._memo[key] = (ref(b), count_pairs(a, b, op))
+    return hit[1]
+
+
+def count_pairs(a: NumberSet, b: NumberSet, op: str) -> PairCounts:
+    """The kernel itself, unmemoized: for sets whose histograms are read once (a search step)."""
+    if not (a.ints and b.ints):
+        raise EmptyInputError("operation requires nonempty sets")
+    if len(a) * len(b) > PAIR_BUDGET:
+        raise over_budget("pair count", len(a) * len(b), "PAIR_BUDGET", PAIR_BUDGET)
+    if op == "*":
+        ia, ib, denom = a.ints, b.ints, a.denom * b.denom
+    else:
+        denom = lcm(a.denom, b.denom)
+        ia = [v * (denom // a.denom) for v in a.ints]
+        ib = [v * (denom // b.denom) for v in b.ints]
+    mx, my = max(-ia[0], ia[-1]), max(-ib[0], ib[-1])
+    if len(ia) * len(ib) >= NUMPY_MIN_PAIRS and (mx * my if op == "*" else mx + my) < INT64_SAFE:
+        try:
+            return _numpy_counts(ia, ib, op, denom)
+        except ImportError:
+            pass
+    return _python_counts(ia, ib, op, denom)
+
+
+def _python_counts(ia, ib, op: str, denom: int) -> PairCounts:
+    counts = Counter(starmap(OPERATORS[op], product(ia, ib)))
+    return PairCounts(counts.keys(), counts.values(), denom, Counter(counts.values()))
+
+
+def _numpy_counts(ia, ib, op: str, denom: int) -> PairCounts:
+    """Count value window by window, each window [lo, hi) holding at most BLOCK_PAIRS pairs.
+
+    Every row x op y_j is made non-decreasing in j: x - y is x + (-y) with -y
+    ascending, and x * y is (-x) * (-y) when x < 0.  The pairs of a window are
+    then one slice of each row, found by binary search, and the windows'
+    histograms are disjoint and ascending, so they only need concatenating.
+    """
+    import numpy as np
+
+    ends = [OPERATORS[op](p, q) for p in (ia[0], ia[-1]) for q in (ib[0], ib[-1])]
+    x, y = np.array(ia, dtype=np.int64), np.array(ib, dtype=np.int64)
+    if op == "*":
+        rows = [(x[x >= 0], y), (-x[x < 0], -y[::-1])]
+    else:
+        rows = [(x, y if op == "+" else -y[::-1])]
+
+    def below(t: int) -> list:  # per row: how many j give a value < t
+        if op != "*":
+            return [np.searchsorted(z, t - xs) for xs, z in rows]
+        # x * z < t  <=>  z < ceil(t / x) for x > 0; a row with x = 0 is all zeros
+        return [np.where(xs > 0, np.searchsorted(z, -(-t // np.maximum(xs, 1))), len(z) * (t > 0))
+                for xs, z in rows]
+
+    def fits(start: list, t: int) -> bool:
+        return sum(int((e - s).sum()) for s, e in zip(start, below(t))) <= BLOCK_PAIRS
+
+    lo, top, parts = min(ends), max(ends) + 1, []
+    start = below(lo)
+    while lo < top:
+        hi, bad = top, top + 1
+        if not fits(start, top):  # one value always fits: its multiplicity is at most min(|A|, |B|)
+            hi, bad = lo + 1, top
+            while bad - hi > 1:
+                mid = (hi + bad) // 2
+                hi, bad = (mid, bad) if fits(start, mid) else (hi, mid)
+        end, window = below(hi), []
+        for (xs, z), s, e in zip(rows, start, end):
+            n = e - s  # row r contributes its columns s[r] .. e[r] - 1
+            v = z[np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - s, n)]
+            (np.multiply if op == "*" else np.add)(v, np.repeat(xs, n), out=v)
+            window.append(v)
+        v, k = np.unique(np.concatenate(window), return_counts=True)
+        parts.append((v, k.astype(np.int32)))
+        lo, start = hi, end
+    values, counts = (np.concatenate(p) for p in zip(*parts))
+    mults, times = np.unique(counts, return_counts=True)
+    return PairCounts(values, counts, denom, dict(zip(mults.tolist(), times.tolist())))
 
 
 def sumset(a: NumberSet, b: NumberSet) -> NumberSet:
     """{x + y : x in A, y in B}, deduplicated and sorted."""
-    _require_nonempty(a, b)
-    ia, ib, denom = common_scaling(a, b)
-    return _from_scaled({x + y for x in ia for y in ib}, denom)
+    return pair_counts(a, b, "+").to_set()
 
 
 def difference_set(a: NumberSet, b: NumberSet) -> NumberSet:
     """{x - y : x in A, y in B}; for B == A it is symmetric about 0."""
-    _require_nonempty(a, b)
-    ia, ib, denom = common_scaling(a, b)
-    return _from_scaled({x - y for x in ia for y in ib}, denom)
+    return pair_counts(a, b, "-").to_set()
 
 
 def product_set(a: NumberSet, b: NumberSet, *, log_equivalence: bool = False) -> NumberSet:
@@ -149,12 +283,9 @@ def product_set(a: NumberSet, b: NumberSet, *, log_equivalence: bool = False) ->
     reading, which is only valid for strictly positive sets; nonpositive
     elements then raise DomainError.
     """
-    _require_nonempty(a, b)
     if log_equivalence and not (a.is_strictly_positive() and b.is_strictly_positive()):
         raise DomainError("log-equivalent product set requires strictly positive elements")
-    ia, ib, denom = common_scaling(a, b)
-    d2 = denom * denom
-    return _from_scaled({x * y for x in ia for y in ib}, d2)
+    return pair_counts(a, b, "*").to_set()
 
 
 def parse_set_text(text: str, source: str = "<string>") -> NumberSet:

@@ -25,6 +25,8 @@ def naive_product(a, b) -> set[Fraction]:
 def naive_rep(a, b, mode: str) -> Counter:
     if mode == "difference":
         return Counter(x - y for x in a for y in b)
+    if mode == "product":
+        return Counter(x * y for x in a for y in b)
     return Counter(x + y for x in a for y in b)
 
 

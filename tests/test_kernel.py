@@ -1,0 +1,233 @@
+"""The pair kernel: both counting paths against the oracles, the int64 bound, memo reuse and budgets."""
+import importlib
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given
+
+from conftest import number_sets
+from convexlab.audit import audit_theorem
+from convexlab.cli import main
+from convexlab.energy import energy, energy_report
+from convexlab.errors import BudgetError
+from convexlab.families import FamilySpec, generate
+from convexlab.functions import EXP2, EXP2_BUDGET, POWER_BUDGET, SQUARE, apply_fn, fn_by_name
+from convexlab.radicals import RadicalSum
+from convexlab.sets import PAIR_BUDGET, NumberSet, pair_counts
+from oracles import naive_rep, quadruple_energy
+
+sets = importlib.import_module("convexlab.sets")
+MODES = {"+": "sum", "-": "difference", "*": "product"}
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+@pytest.fixture
+def paths(monkeypatch):
+    """Record which path each count takes: "numpy" or "python"."""
+    ran = []
+    for name in ("numpy", "python"):
+        original = getattr(sets, f"_{name}_counts")
+
+        def recording(*args, _name=name, _original=original):
+            ran.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(sets, f"_{name}_counts", recording)
+    return ran
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Record every histogram the kernel builds, as (A ints, B ints, op)."""
+    built = []
+    original = sets.count_pairs
+
+    def recording(a, b, op):
+        built.append((a.ints, b.ints, op))
+        return original(a, b, op)
+
+    monkeypatch.setattr(sets, "count_pairs", recording)
+    return built
+
+
+def histogram(pc):
+    return {Fraction(v, pc.denom): c for v, c in pc.items()}
+
+
+@pytest.mark.parametrize("path, threshold", [("numpy", 0), ("python", 1 << 60)])
+@given(number_sets(max_size=7, max_num=10 ** 4, max_den=12), number_sets(max_size=7, max_num=10 ** 4, max_den=12))
+def test_both_paths_match_the_oracles(path, threshold, a, b):
+    """Denominators up to 12 keep every value inside int64, so the threshold alone picks the path."""
+    if path == "numpy":
+        pytest.importorskip("numpy")
+    saved, sets.NUMPY_MIN_PAIRS = sets.NUMPY_MIN_PAIRS, threshold
+    try:
+        a, b = NumberSet(a), NumberSet(b)  # fresh sets: nothing memoized from the other path
+        for op, mode in MODES.items():
+            pc = pair_counts(a, b, op)
+            assert hasattr(pc.counts, "tolist") == (path == "numpy")
+            assert histogram(pc) == naive_rep(a, b, mode)
+            assert pc.to_set() == NumberSet(naive_rep(a, b, mode))
+        delta = naive_rep(a, a, "difference")
+        report = energy_report(a)
+        assert energy(a, b) == energy(a, b, via="sum") == quadruple_energy(a, b)
+        assert report.E3 == sum(c ** 3 for c in delta.values())
+        assert report.E15 == sum((RadicalSum({c: c}) for c in delta.values()), RadicalSum())
+    finally:
+        sets.NUMPY_MIN_PAIRS = saved
+
+
+BOUNDARY = [
+    # (op, A, B, path): just below the int64 bound runs numpy, at the bound Python
+    ("+", [0, 1 << 61], [0, (1 << 61) - 1], "numpy"),
+    ("+", [0, 1 << 61], [0, 1 << 61], "python"),
+    ("-", [0, 1 << 61], [-((1 << 61) - 1), 0], "numpy"),
+    ("-", [-(1 << 61), 0], [0, 1 << 61], "python"),
+    ("*", [1, 1 << 31], [-((1 << 31) - 1), 1], "numpy"),
+    ("*", [1, 1 << 31], [1, 1 << 31], "python"),
+]
+
+
+@pytest.mark.parametrize("op, xs, ys, expected", BOUNDARY)
+def test_int64_boundary(op, xs, ys, expected, paths, monkeypatch):
+    pytest.importorskip("numpy")
+    monkeypatch.setattr(sets, "NUMPY_MIN_PAIRS", 1)
+    a, b = NumberSet(xs), NumberSet(ys)
+    pc = pair_counts(a, b, op)
+    assert paths == [expected]
+    assert histogram(pc) == naive_rep(a, b, MODES[op])
+
+
+def test_numpy_blocks_merge(paths, monkeypatch):
+    """Counts spanning several blocks, rows and columns both split, add up exactly."""
+    pytest.importorskip("numpy")
+    monkeypatch.setattr(sets, "NUMPY_MIN_PAIRS", 1)
+    monkeypatch.setattr(sets, "BLOCK_PAIRS", 7)
+    a, b = NumberSet(range(0, 40, 3)), NumberSet(range(0, 30, 2))
+    for op, mode in MODES.items():
+        assert histogram(pair_counts(a, b, op)) == naive_rep(a, b, mode)
+    assert set(paths) == {"numpy"}
+
+
+def test_python_path_when_numpy_is_absent(paths, monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)  # makes `import numpy` raise ImportError
+    monkeypatch.setattr(sets, "NUMPY_MIN_PAIRS", 1)
+    a, b = NumberSet([1, 2, 4]), NumberSet([0, 3])
+    assert histogram(pair_counts(a, b, "-")) == naive_rep(a, b, "difference")
+    assert paths == ["numpy", "python"]
+
+
+def test_memo_is_per_set_and_per_operand(builds):
+    a, b = NumberSet([1, 2, 4]), NumberSet([1, 3])
+    assert pair_counts(a, b, "+") is pair_counts(a, b, "+")
+    pair_counts(a, NumberSet([1, 3]), "+")  # an equal but distinct right operand is counted again
+    pair_counts(NumberSet([1, 2, 4]), b, "+")  # so is an equal left operand
+    assert len(builds) == 3
+
+
+class TestBuildsOnce:
+    def test_stats_builds_delta_once(self, builds, tmp_path, capsys):
+        path = tmp_path / "a.txt"
+        path.write_text("".join(f"{i * i}\n" for i in range(1, 13)))
+        assert main(["stats", "--input", str(path)]) == 0
+        a = tuple(i * i for i in range(1, 13))
+        assert builds.count((a, a, "-")) == 1
+        assert len(builds) == len(set(builds)) == 3
+        assert json.loads(capsys.readouterr().out)["sizes"]["diffset"] == len(
+            NumberSet(x - y for x in a for y in a))
+
+    def test_t1_builds_delta_once(self, builds):
+        a = generate(FamilySpec("squares", 12))
+        audit_theorem("T1", SQUARE, a)
+        assert builds.count((a.ints, a.ints, "-")) == 1
+        assert len(builds) == len(set(builds))
+
+    def test_incidence_builds_two_sigmas(self, builds, tmp_path, capsys):
+        values = {"a": [1, 2, 4, 7], "b": [0, 1, 3], "c": [0, 2, 5]}
+        for name, vs in values.items():
+            (tmp_path / f"{name}.txt").write_text("".join(f"{v}\n" for v in vs))
+        argv = ["incidence", "--input", str(tmp_path / "a.txt"), "--bset", str(tmp_path / "b.txt"),
+                "--cset", str(tmp_path / "c.txt"), "--fn", "square"]
+        assert main(argv) == 0
+        fa = tuple(v * v for v in values["a"])
+        assert sorted(builds) == sorted([(tuple(values["a"]), tuple(values["b"]), "+"),
+                                         (fa, tuple(values["c"]), "+")])
+
+    def test_image_is_kept_per_function(self):
+        a = NumberSet([1, 2, 3])
+        assert apply_fn(SQUARE, a) is apply_fn(SQUARE, a)
+        assert apply_fn(fn_by_name("power:3"), a) == NumberSet([1, 8, 27])
+
+
+class TestBudgets:
+    def test_pair_budget_admits_t3_random_convex_256(self):
+        a = generate(FamilySpec("random-convex", 256))
+        shifted = pair_counts(a, apply_fn(SQUARE, a), "+")
+        assert len(a) * len(shifted) <= PAIR_BUDGET
+
+    def test_pair_budget_refuses_before_counting(self, paths):
+        big = NumberSet(range(6000))
+        with pytest.raises(BudgetError, match="PAIR_BUDGET"):
+            pair_counts(big, big, "+")
+        assert paths == []
+
+    def test_power_budget(self):
+        assert fn_by_name(f"power:{POWER_BUDGET}").k == POWER_BUDGET
+        with pytest.raises(BudgetError, match="POWER_BUDGET"):
+            fn_by_name(f"power:{POWER_BUDGET + 1}")
+
+    def test_exp2_budget(self):
+        assert EXP2.apply(Fraction(-3)) == Fraction(1, 8)
+        with pytest.raises(BudgetError, match="EXP2_BUDGET"):
+            EXP2.apply(Fraction(EXP2_BUDGET + 1))
+        with pytest.raises(BudgetError, match="EXP2_BUDGET"):
+            EXP2.apply(Fraction(-EXP2_BUDGET - 1))
+
+    def test_cli_exits_1_naming_the_budget(self, tmp_path, capsys):
+        path = tmp_path / "big.txt"
+        path.write_text("".join(f"{i}\n" for i in range(6000)))
+        assert main(["stats", "--input", str(path)]) == 1
+        assert "PAIR_BUDGET" in capsys.readouterr().err
+        small = tmp_path / "a.txt"
+        small.write_text("1\n2\n3\n")
+        assert main(["audit", "--input", str(small), "--theorem", "T1", "--fn", "power:100"]) == 1
+        assert "POWER_BUDGET" in capsys.readouterr().err
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_leaves_numpy_out():
+    done = _python("import sys, convexlab.cli; print('numpy' in sys.modules)")
+    assert done.returncode == 0 and done.stdout.strip() == "False"
+
+
+def test_battery_pair_and_search_step_leave_numpy_out():
+    """A 64-element battery pair and one annealing step never import numpy."""
+    code = """
+import random, sys
+from fractions import Fraction
+from convexlab.audit import check_cauchy_schwarz, check_holder, check_lemma_e15
+from convexlab.search import SearchConfig, extremal_search
+from convexlab.sets import NumberSet
+rng = random.Random(7)
+def rationals(n):
+    vals = set()
+    while len(vals) < n:
+        vals.add(Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 64)))
+    return NumberSet(vals)
+a, b = rationals(64), rationals(64)
+check_lemma_e15(a, b), check_holder(a), check_cauchy_schwarz(a, "sum"), check_cauchy_schwarz(a, "cross", b)
+extremal_search(SearchConfig(objective="diffProdRatio", set_size=24, iterations=1))
+print('numpy' in sys.modules)
+"""
+    done = _python(code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
