@@ -168,7 +168,7 @@ def cmd_incidence(args) -> int:
     c = read_set_file(args.cset)
     taus = tuple(int(t) for t in args.tau.split(",")) if args.tau else (1, 2, 4, 8)
     grid, family = build_instance(fn, a, b, c)
-    report = count_incidences(grid, family, taus=taus, workers=args.workers)
+    report = count_incidences(grid, family, taus=taus)
     payload = {**cfg.header(fn=fn.name), "incidence": report.to_json_dict(cfg.precision)}
     levels = []
     for tau in taus:
@@ -244,7 +244,8 @@ def build_parser() -> _Parser:
     p.add_argument("--cset", required=True)
     p.add_argument("--fn", default="square")
     p.add_argument("--tau", default=None, help="comma-separated richness thresholds")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="caps parallelism; the count runs serially, so every value gives the same report")
     _add_common(p)
     p.set_defaults(func=cmd_incidence)
 

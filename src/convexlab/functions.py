@@ -15,6 +15,7 @@ the full cubic or hyperbola graphs would not satisfy that.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,6 +26,13 @@ EXACT = "exact-on-rationals"
 PRODUCT_EQUIVALENT = "product-set-equivalent"
 POWER_BUDGET = 64  # largest k in power:k
 EXP2_BUDGET = 1 << 14  # largest |x| in exp2(x): 2**x has at most 16 Ki bits
+
+
+def _exp2_exponent(e: int) -> int:
+    """e, or the EXP2_BUDGET error when 2**e is beyond desk scale."""
+    if not -EXP2_BUDGET <= e <= EXP2_BUDGET:
+        raise over_budget("exp2 argument", e, "EXP2_BUDGET", EXP2_BUDGET)
+    return e
 
 
 @dataclass(frozen=True)
@@ -55,11 +63,40 @@ class ConvexFn:
         if self.kind == "exp2":
             if q.denominator != 1:
                 raise DomainError(f"exp2 is exact only on integers, got {q}")
-            e = q.numerator
-            if not -EXP2_BUDGET <= e <= EXP2_BUDGET:
-                raise over_budget("exp2 argument", e, "EXP2_BUDGET", EXP2_BUDGET)
+            e = _exp2_exponent(q.numerator)
             return Fraction(2 ** e) if e >= 0 else Fraction(1, 2 ** (-e))
         raise DomainError("log is never evaluated numerically; route through product_set")
+
+    def on_lattice(self, d: int) -> Callable[[int], int | None]:
+        """The graph branch on the lattice Z/d: t -> d * f(t / d), None off the branch or the lattice.
+
+        `evaluate_on_graph` scaled by d in integer arithmetic, with the same exp2 budget.
+        """
+        if self.kind in ("square", "power"):
+            k = self.k if self.kind == "power" else 2
+            dk = d ** (k - 1)
+
+            def f(t: int) -> int | None:
+                if t < 0:
+                    return None
+                p = t ** k
+                return None if p % dk else p // dk
+        elif self.kind == "reciprocal":
+            d2 = d * d
+
+            def f(t: int) -> int | None:
+                return d2 // t if t > 0 and not d2 % t else None
+        elif self.kind == "exp2":
+            def f(t: int) -> int | None:
+                if t % d:
+                    return None  # irrational value, cannot meet a rational grid
+                e = _exp2_exponent(t // d)
+                if e >= 0:
+                    return d << e
+                return None if d % (1 << -e) else d >> -e
+        else:
+            raise DomainError("log is never evaluated numerically; route through product_set")
+        return f
 
     def in_graph_domain(self, t: Fraction) -> bool:
         """Membership in the injective convex branch used for curve families."""

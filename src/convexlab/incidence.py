@@ -4,13 +4,13 @@ An instance is a grid P = (A+B) x (f(A)+C) and the curve family
 L = { graph(f) + (b, c) : (b, c) in B x C }.  Each curve is the injective
 convex branch of a catalog function, so any two curves intersect at most
 once and the incidence count obeys  I <= 4(PL)^(2/3) + 4P + L,  checked
-exactly (cube the rearranged inequality).  Counting is a hash join over
-curves: per curve iterate x in A+B and test y-membership; the hot kernels
-for square/power/reciprocal run on the scaled-integer lattice.
+exactly (cube the rearranged inequality).  Counting runs on the integer
+lattice Z/D of x, y, b and c: curves are grouped by b, f(x - b) is computed
+once per (b, x) in A+B, and each c is one hash lookup of y.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_CEILING
 from fractions import Fraction
@@ -74,64 +74,27 @@ def build_instance(fn: ConvexFn, a: NumberSet, b: NumberSet, c: NumberSet) -> tu
     return grid, CurveFamily(fn=fn, shifts=shifts)
 
 
-def _count_generic(grid: PointGrid, curves, fn: ConvexFn) -> Counters:
-    """Fraction-arithmetic membership path (exp2 and any odd cases)."""
-    y_index = {y: i for i, y in enumerate(grid.ys.elements)}
-    hits: Counters = {}
-    for b, c in curves:
-        for xi, x in enumerate(grid.xs.elements):
-            v = fn.evaluate_on_graph(x - b)
-            if v is None:
-                continue
-            yi = y_index.get(v + c)
-            if yi is not None:
-                key = (xi, yi)
-                hits[key] = hits.get(key, 0) + 1
-    return hits
+def incidence_hits(grid: PointGrid, family: CurveFamily) -> Counters:
+    """Curves through each grid point, keyed (x index, y index), counted on one integer lattice Z/D.
 
-
-def _count_scaled(grid: PointGrid, curves, fn: ConvexFn) -> Counters:
-    """Integer-lattice membership kernels for square/power/reciprocal."""
+    Curves are grouped by b: w = D*f((x - b)/D) is computed once per (b, x) with the
+    exact integer map of `ConvexFn.on_lattice`, then each c costs one y lookup.
+    """
     xs_i, lx = grid.xs.scaled()
     ys_i, ly = grid.ys.scaled()
-    bs = sorted({b for b, _ in curves} | {c for _, c in curves})
-    lb = lcm(*(q.denominator for q in bs)) if bs else 1
-    denom = lcm(lx, ly, lb)
-    xs = [v * (denom // lx) for v in xs_i]
-    ys = [v * (denom // ly) for v in ys_i]
-    y_index = {v: i for i, v in enumerate(ys)}
-    k = fn.k if fn.kind == "power" else (2 if fn.kind == "square" else 1)
-    hits: Counters = {}
-    if fn.kind in ("square", "power"):
-        dpow = denom ** (k - 1)
-        y_scaled = {v * dpow: i for v, i in y_index.items()}
-        for b, c in curves:
-            bi = b.numerator * (denom // b.denominator)
-            ci = c.numerator * (denom // c.denominator)
-            cd = ci * dpow
-            for xi, x in enumerate(xs):
-                t = x - bi
-                if t < 0:
-                    continue
-                yi = y_scaled.get(t ** k + cd)
-                if yi is not None:
-                    key = (xi, yi)
-                    hits[key] = hits.get(key, 0) + 1
-    elif fn.kind == "reciprocal":
-        d2 = denom * denom
-        for b, c in curves:
-            bi = b.numerator * (denom // b.denominator)
-            ci = c.numerator * (denom // c.denominator)
-            for xi, x in enumerate(xs):
-                t = x - bi
-                if t <= 0 or d2 % t:
-                    continue
-                yi = y_index.get(d2 // t + ci)
-                if yi is not None:
-                    key = (xi, yi)
-                    hits[key] = hits.get(key, 0) + 1
-    else:
-        raise ValueError(f"no scaled kernel for {fn.kind}")
+    d = lcm(lx, ly, *(q.denominator for shift in family.shifts for q in shift))
+    xs = [v * (d // lx) for v in xs_i]
+    y_index = {v * (d // ly): i for i, v in enumerate(ys_i)}
+    by_b: dict[Fraction, list[int]] = {}
+    for b, c in family.shifts:
+        by_b.setdefault(b, []).append(c.numerator * (d // c.denominator))
+    f, y_of = family.fn.on_lattice(d), y_index.get
+    hits: Counters = Counter()
+    for b, cs in by_b.items():
+        bi = b.numerator * (d // b.denominator)
+        ws = [(xi, w) for xi, x in enumerate(xs) if (w := f(x - bi)) is not None]
+        for ci in cs:
+            hits.update([(xi, yi) for xi, w in ws if (yi := y_of(w + ci)) is not None])
     return hits
 
 
@@ -139,28 +102,9 @@ def count_incidences(
     grid: PointGrid,
     family: CurveFamily,
     taus: tuple[int, ...] = (1, 2, 4, 8),
-    workers: int = 1,
 ) -> IncidenceReport:
-    """Exact incidence count, rich-point histogram, and the incidence-bound verdict.
-
-    Parallel mode chunks the curve list; per-chunk counters merge additively
-    in submission order, so the report is identical to the serial one.
-    """
-    fn = family.fn
-    counter_fn = _count_generic if fn.kind == "exp2" else _count_scaled
-    if len(family) == 0:
-        hits: Counters = {}
-    elif workers <= 1:
-        hits = counter_fn(grid, family.shifts, fn)
-    else:
-        chunk = -(-len(family.shifts) // workers)
-        parts = [family.shifts[i:i + chunk] for i in range(0, len(family.shifts), chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(lambda cs: counter_fn(grid, cs, fn), parts))
-        hits = {}
-        for part in partials:
-            for key, n in part.items():
-                hits[key] = hits.get(key, 0) + n
+    """Exact incidence count, rich-point histogram, and the incidence-bound verdict."""
+    hits = incidence_hits(grid, family)
     incidences = sum(hits.values())
     max_point = max(hits.values(), default=0)
     rich = {t: sum(1 for v in hits.values() if v >= t) for t in taus}

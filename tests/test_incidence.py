@@ -1,16 +1,19 @@
 import random
+import threading
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import positive_number_sets
+from convexlab.cli import main
 from convexlab.errors import DomainError, EmptyInputError
-from convexlab.functions import EXP2, RECIPROCAL, SQUARE, power_fn
+from convexlab.functions import EXP2, EXP2_BUDGET, RECIPROCAL, SQUARE, power_fn
 from convexlab.incidence import (
     build_instance,
     count_incidences,
+    incidence_hits,
     lemma_st1_ratio,
     lemma_st2_ratio,
     st_bound_check,
@@ -110,13 +113,26 @@ class TestCountIncidences:
         report = count_incidences(grid, family)
         assert report.incidences >= len(a) * len(b) * len(c)
 
-    def test_workers_equivalence(self):
+    def test_cli_workers_identical_and_threadless(self, tmp_path, capsys, monkeypatch):
         rng = random.Random(11)
-        a, b, c = (random_positive_set(rng, k) for k in (5, 4, 4))
-        grid, family = build_instance(RECIPROCAL, a, b, c)
-        serial = count_incidences(grid, family, workers=1)
-        for w in (2, 3, 7):
-            assert count_incidences(grid, family, workers=w) == serial
+        for part, size in zip("abc", (5, 4, 4)):
+            values = random_positive_set(rng, size)
+            (tmp_path / f"{part}.txt").write_text("".join(f"{q}\n" for q in values))
+        started, real_start = [], threading.Thread.start
+
+        def start(thread):
+            started.append(thread)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        outs = []
+        for w in ("1", "2", "7"):
+            argv = ["incidence", "--input", str(tmp_path / "a.txt"), "--bset", str(tmp_path / "b.txt"),
+                    "--cset", str(tmp_path / "c.txt"), "--fn", "reciprocal", "--workers", w]
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] == outs[2]
+        assert started == []
 
     def test_rich_points_monotone_and_capped(self):
         rng = random.Random(21)
@@ -128,6 +144,56 @@ class TestCountIncidences:
             assert rich[1] >= rich[2] >= rich[3] >= rich[4]
             assert rich[1] <= report.incidences
             assert report.max_point_curves <= min(len(b), len(c))
+
+
+def small_rationals(positive=False):
+    return st.fractions(min_value=Fraction(1, 4) if positive else 0, max_value=4, max_denominator=4)
+
+
+def small_sets(elements):
+    return st.lists(elements, min_size=1, max_size=3, unique=True).map(NumberSet)
+
+
+def hits_by_point(grid, family):
+    return {(grid.xs.elements[xi], grid.ys.elements[yi]): n
+            for (xi, yi), n in incidence_hits(grid, family).items()}
+
+
+class TestLatticeKernel:
+    """The lattice kernel's hit map, point by point, against the Fraction oracle."""
+
+    @pytest.mark.parametrize("fn", [SQUARE, power_fn(3), power_fn(4), RECIPROCAL])
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_rational_instances_match_oracle(self, fn, data):
+        a = data.draw(small_sets(small_rationals(positive=fn is RECIPROCAL)))
+        b, c = data.draw(small_sets(small_rationals())), data.draw(small_sets(small_rationals()))
+        grid, family = build_instance(fn, a, b, c)
+        assert hits_by_point(grid, family) == naive_incidences(grid, family)[1]
+
+    @pytest.mark.parametrize("fn", [SQUARE, power_fn(3), power_fn(4)])
+    def test_power_off_lattice_value_is_not_floored(self, fn):
+        # at x = 1/2 the curve b = 0 has value (1/2)^k, which is off Z/2: no hit at y = 0
+        grid, family = build_instance(fn, nset(0), nset(0, Fraction(1, 2)), nset(0))
+        assert hits_by_point(grid, family) == naive_incidences(grid, family)[1]
+
+    @given(a=small_sets(st.integers(-3, 6).map(Fraction)), b=small_sets(small_rationals()),
+           c=small_sets(small_rationals()))
+    @example(a=nset(0), b=nset(0, 1), c=nset(0, 1))  # 2^-1 is off Z/1
+    @example(a=nset(0), b=nset(Fraction(1, 2), Fraction(3, 2)), c=nset(0, Fraction(1, 2)))  # 2^-1 on Z/2
+    @settings(max_examples=40)
+    def test_exp2_instances_match_oracle(self, a, b, c):
+        grid, family = build_instance(EXP2, a, b, c)
+        assert hits_by_point(grid, family) == naive_incidences(grid, family)[1]
+
+    def test_exp2_budget_fires_on_the_shifted_argument(self, tmp_path, capsys):
+        for part, values in zip("abc", ([1], [0, 16384], [0])):
+            (tmp_path / f"{part}.txt").write_text("".join(f"{v}\n" for v in values))
+        argv = ["incidence", "--input", str(tmp_path / "a.txt"), "--bset", str(tmp_path / "b.txt"),
+                "--cset", str(tmp_path / "c.txt"), "--fn", "exp2"]
+        assert 1 <= EXP2_BUDGET < 16384 + 1  # A = {1} is within budget, x - b = 16385 is not
+        assert main(argv) == 1
+        assert "EXP2_BUDGET" in capsys.readouterr().err
 
 
 class TestCurvesPairwiseIntersections:
