@@ -201,7 +201,7 @@ def cmd_search(args) -> int:
     if args.seed is not None:
         data["seed"] = args.seed
     scfg = SearchConfig.from_json_dict(data)
-    outcome = extremal_search(scfg, workers=args.workers, digits=cfg.precision)
+    outcome = extremal_search(scfg, digits=cfg.precision)
     lines = [cfg.header(config=scfg.to_json_dict())]
     lines.extend(outcome.traces)
     lines.append({
@@ -259,7 +259,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("search", help="simulated-annealing extremal search")
     p.add_argument("--config", required=True, help="JSON search configuration")
     p.add_argument("--best-set", default=None, help="write the best set to this file")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="caps parallelism; restarts run serially, so every value gives the same report")
     _add_common(p)
     p.set_defaults(func=cmd_search)
 

@@ -1,12 +1,14 @@
 """Representation functions and the energy moments E, E_3, E_1.5, read from the pair kernel.
 
 delta(A,B)(s) counts ordered pairs with a - b == s, sigma(A,B)(s) counts
-a + b == s.  Both are the histogram `sets.pair_counts` returns for - and +
-on the (ints, denom) lattice, built once per (A, B) while A lives, on the
-numpy path where int64 is proven and in pure Python otherwise.  The moments
-read only its spectrum (multiplicity m -> how many s carry it), so they are
-exact integers, and the 1.5-moment is the exact RadicalSum sum_s delta(s) *
-sqrt(delta(s)).  Fractions are made only for `rep_function`'s map.
+a + b == s.  Both are the pair-kernel histogram of - and + on the (ints,
+denom) lattice (see `sets`).  A histogram of A with itself is kept on A, so
+|A-A| and all moments of A share one count.  One of two different sets is
+counted unkept: its reader, the audit memo, keeps only the integer E(A, B).
+The moments read only the spectrum (multiplicity m -> how many s carry it),
+so they are exact integers, and the 1.5-moment is the exact RadicalSum
+sum_s delta(s) * sqrt(delta(s)).  Fractions are made only for
+`rep_function`'s map.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from math import lcm
 
 from .comparison import decimal_of
 from .radicals import RadicalSum
-from .sets import NumberSet, PairCounts, pair_counts
+from .sets import NumberSet, PairCounts, count_pairs, pair_counts
 
 DIFFERENCE = "difference"
 SUM = "sum"
@@ -47,7 +49,7 @@ class RepFunction:
 def _scaled_counter(a: NumberSet, b: NumberSet, mode: str) -> PairCounts:
     if mode not in OPS:
         raise ValueError(f"mode must be {DIFFERENCE!r} or {SUM!r}")
-    return pair_counts(a, b, OPS[mode])
+    return (pair_counts if a is b else count_pairs)(a, b, OPS[mode])
 
 
 def rep_function(a: NumberSet, b: NumberSet, mode: str = DIFFERENCE) -> RepFunction:

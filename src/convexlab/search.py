@@ -15,7 +15,6 @@ distinctness or positivity.  Acceptance uses exp(-delta/T) evaluated with
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -238,18 +237,14 @@ def _run_restart(cfg: SearchConfig, restart: int, digits: int) -> tuple[Fraction
 
 
 def extremal_search(cfg: SearchConfig, workers: int = 1, digits: int = 30) -> SearchOutcome:
-    """Run all restarts (optionally in parallel) and merge deterministically.
+    """Run all restarts serially and merge deterministically.
 
-    Restarts are independently seeded, so parallel execution is bit-identical
-    to serial; the merge takes the best objective with the lexicographically
-    smallest set as tie-break.
+    `workers` is accepted and ignored: threads were slower than serial here,
+    and restarts are independently seeded, so the outcome never depends on it.
+    The merge takes the best objective with the lexicographically smallest
+    set as tie-break.
     """
-    indices = list(range(cfg.restarts))
-    if workers <= 1 or cfg.restarts == 1:
-        results = [_run_restart(cfg, i, digits) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda i: _run_restart(cfg, i, digits), indices))
+    results = [_run_restart(cfg, i, digits) for i in range(cfg.restarts)]
     best_obj, best = None, None
     for obj, a, _ in results:
         if best_obj is None or (obj, a.elements) < (best_obj, best.elements):

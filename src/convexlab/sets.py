@@ -11,12 +11,22 @@ x op y over A x B for op in + - * (+ and - on the lattice lcm(denom_a, denom_b),
 read it.  It is kept on `a`, keyed by (op, b), and dies with `a`;
 `count_pairs` is the same count unkept, for sets that are read once.
 
-numpy counts only where int64 is proven up front (max|x| + max|y| < 2**62 for
-+ and -, max|x| * max|y| < 2**62 for *) and the count has NUMPY_MIN_PAIRS pairs
-or more; it is imported then, and counts value windows of at most BLOCK_PAIRS
-pairs each.  All other counts, and all counts without numpy, run in pure
-Python on exact ints, with the same result.  Counts above PAIR_BUDGET pairs
-fail before they start.
+numpy counts only counts of NUMPY_MIN_PAIRS pairs or more, on one of two paths
+chosen from the inputs before the count starts; it is imported then.
+
+* Where int64 is proven (max|x| + max|y| < 2**62 for + and -, max|x| * max|y|
+  < 2**62 for *), it counts value windows of at most BLOCK_PAIRS pairs each.
+* Otherwise, for + and - on a lattice narrower than P1 * P2 (about 2**122),
+  it sorts the pairs by their value modulo P1 = 2**61 - 1; each run of equal
+  residues is one value.  Neighbours in a run are checked modulo P2, which is
+  coprime to P1: two values equal modulo both differ by a multiple of P1 * P2,
+  so they are equal.  If a run disagrees modulo P2, the count reruns in Python.
+  Each value is kept as one representative pair and built only when read;
+  the multiplicities and the spectrum are there at once.
+
+All other counts (* on wide lattices, wider lattices, small counts), and all
+counts without numpy, run in pure Python on exact ints, with the same result.
+Counts above PAIR_BUDGET pairs fail before they start.
 """
 from __future__ import annotations
 
@@ -41,6 +51,8 @@ PAIR_BUDGET = 1 << 25  # pairs in one count; T3 on random-convex n=256 needs 16.
 NUMPY_MIN_PAIRS = 1 << 16
 INT64_SAFE = 1 << 62
 BLOCK_PAIRS = 1 << 16  # pairs per numpy window: its few temporary arrays stay near 2 MB
+P1 = (1 << 61) - 1  # residues below it, and sums of two, fit int64
+P2 = (1 << 62) - 57  # coprime to P1; the residue path needs lattices narrower than P1 * P2
 OPERATORS = {"+": add, "-": sub, "*": mul}
 
 
@@ -156,7 +168,8 @@ def _from_ints(ints: list[int], denom: int) -> NumberSet:
 class PairCounts:
     """Histogram of x op y over A x B: values[i] / denom occurs counts[i] times.
 
-    `values` and `counts` are views of one dict, or numpy arrays on the numpy path.
+    `values` and `counts` are views of one dict, or numpy arrays on the numpy
+    paths; on the residue path `values` is built from one pair per value when read.
     `spectrum` maps each multiplicity to the number of values carrying it.
     """
 
@@ -202,13 +215,17 @@ def count_pairs(a: NumberSet, b: NumberSet, op: str) -> PairCounts:
         denom = lcm(a.denom, b.denom)
         ia = [v * (denom // a.denom) for v in a.ints]
         ib = [v * (denom // b.denom) for v in b.ints]
-    mx, my = max(-ia[0], ia[-1]), max(-ib[0], ib[-1])
-    if len(ia) * len(ib) >= NUMPY_MIN_PAIRS and (mx * my if op == "*" else mx + my) < INT64_SAFE:
-        try:
-            return _numpy_counts(ia, ib, op, denom)
-        except ImportError:
-            pass
-    return _python_counts(ia, ib, op, denom)
+    counter = _python_counts
+    if len(ia) * len(ib) >= NUMPY_MIN_PAIRS:
+        mx, my = max(-ia[0], ia[-1]), max(-ib[0], ib[-1])
+        if (mx * my if op == "*" else mx + my) < INT64_SAFE:
+            counter = _numpy_counts
+        elif op != "*" and ia[-1] - ia[0] + ib[-1] - ib[0] < P1 * P2:  # hi - lo of x op y
+            counter = _residue_counts
+    try:
+        return counter(ia, ib, op, denom)
+    except ImportError:
+        return _python_counts(ia, ib, op, denom)
 
 
 def _python_counts(ia, ib, op: str, denom: int) -> PairCounts:
@@ -264,6 +281,59 @@ def _numpy_counts(ia, ib, op: str, denom: int) -> PairCounts:
     values, counts = (np.concatenate(p) for p in zip(*parts))
     mults, times = np.unique(counts, return_counts=True)
     return PairCounts(values, counts, denom, dict(zip(mults.tolist(), times.tolist())))
+
+
+def _residue_counts(ia, ib, op: str, denom: int) -> PairCounts:
+    """Count x + y or x - y by sorting the pairs on their residues modulo P1.
+
+    The caller has checked that the lattice is narrower than P1 * P2, so
+    sorted neighbours that agree modulo P1 and modulo P2 are equal values.
+    If any of them disagree modulo P2 (2**61 is 1 modulo P1, so 2**k and
+    2**(k + 61) do), the count runs in Python instead.  Each run of equal
+    residues is kept as its length and one pair index.
+    """
+    import numpy as np
+
+    sign = 1 if op == "+" else -1
+
+    def residues(p: int):  # x op y modulo p for every pair, row by row
+        x = np.array([v % p for v in ia], dtype=np.int64)
+        y = np.array([sign * v % p for v in ib], dtype=np.int64)
+        r = np.add.outer(x, y).ravel()
+        return np.subtract(r, p, out=r, where=r >= p)
+
+    r = residues(P1)
+    order = np.argsort(r)  # the default kind: the stable one is far slower here
+    r = r[order]
+    same = r[1:] == r[:-1]
+    r = residues(P2)[order]
+    if (same & (r[1:] != r[:-1])).any():
+        return _python_counts(ia, ib, op, denom)
+    del r
+    starts = np.flatnonzero(np.concatenate(([True], ~same)))
+    counts = np.diff(np.append(starts, len(order)))
+    mults, times = np.unique(counts, return_counts=True)
+    values = _Representatives(ia, ib, op, order[starts])
+    return PairCounts(values, counts, denom, dict(zip(mults.tolist(), times.tolist())))
+
+
+class _Representatives:
+    """The values of a residue count, x op y of one pair per value, built on first read."""
+
+    def __init__(self, ia, ib, op: str, pairs):
+        self._source, self._list, self._len = (ia, ib, op, pairs), None, len(pairs)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def tolist(self) -> list[int]:
+        if self._list is None:
+            ia, ib, op, pairs = self._source
+            rows, cols = divmod(pairs, len(ib))
+            self._list = list(map(OPERATORS[op], map(ia.__getitem__, rows.tolist()),
+                                  map(ib.__getitem__, cols.tolist())))
+            self._source = None
+        return self._list
 
 
 def sumset(a: NumberSet, b: NumberSet) -> NumberSet:

@@ -1,7 +1,8 @@
-"""The pair kernel: both counting paths against the oracles, the int64 bound, memo reuse and budgets."""
+"""The pair kernel: every counting path against the oracles, the bounds that pick a path, memo reuse and budgets."""
 import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,14 +12,14 @@ import pytest
 from hypothesis import given
 
 from conftest import number_sets
-from convexlab.audit import audit_theorem
+from convexlab.audit import audit_theorem, check_cauchy_schwarz, check_holder, check_lemma_e15
 from convexlab.cli import main
 from convexlab.energy import energy, energy_report
 from convexlab.errors import BudgetError
 from convexlab.families import FamilySpec, generate
 from convexlab.functions import EXP2, EXP2_BUDGET, POWER_BUDGET, SQUARE, apply_fn, fn_by_name
 from convexlab.radicals import RadicalSum
-from convexlab.sets import PAIR_BUDGET, NumberSet, pair_counts
+from convexlab.sets import P1, P2, PAIR_BUDGET, NumberSet, pair_counts, sumset
 from oracles import naive_rep, quadruple_energy
 
 sets = importlib.import_module("convexlab.sets")
@@ -28,9 +29,9 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 @pytest.fixture
 def paths(monkeypatch):
-    """Record which path each count takes: "numpy" or "python"."""
+    """Record which path each count takes: "numpy", "residue" or "python"."""
     ran = []
-    for name in ("numpy", "python"):
+    for name in ("numpy", "residue", "python"):
         original = getattr(sets, f"_{name}_counts")
 
         def recording(*args, _name=name, _original=original):
@@ -83,13 +84,20 @@ def test_both_paths_match_the_oracles(path, threshold, a, b):
 
 
 BOUNDARY = [
-    # (op, A, B, path): just below the int64 bound runs numpy, at the bound Python
+    # (op, A, B, path): just below the int64 bound runs numpy; at the bound + and -
+    # count residues (the lattice is far narrower than P1 * P2) and * runs Python
     ("+", [0, 1 << 61], [0, (1 << 61) - 1], "numpy"),
-    ("+", [0, 1 << 61], [0, 1 << 61], "python"),
+    ("+", [0, 1 << 61], [0, 1 << 61], "residue"),
     ("-", [0, 1 << 61], [-((1 << 61) - 1), 0], "numpy"),
-    ("-", [-(1 << 61), 0], [0, 1 << 61], "python"),
+    ("-", [-(1 << 61), 0], [0, 1 << 61], "residue"),
     ("*", [1, 1 << 31], [-((1 << 31) - 1), 1], "numpy"),
     ("*", [1, 1 << 31], [1, 1 << 31], "python"),
+    # the residue path needs hi - lo < P1 * P2; * on a wide lattice always runs Python
+    ("+", [0, P1 * P2 - 2], [0, 1], "residue"),
+    ("+", [0, P1 * P2 - 1], [0, 1], "python"),
+    ("-", [0, P1 * P2 - 2], [-1, 0], "residue"),
+    ("-", [-(P1 * P2), 0], [0, 1], "python"),
+    ("*", [1, 1 << 100], [1, 3], "python"),
 ]
 
 
@@ -101,6 +109,48 @@ def test_int64_boundary(op, xs, ys, expected, paths, monkeypatch):
     pc = pair_counts(a, b, op)
     assert paths == [expected]
     assert histogram(pc) == naive_rep(a, b, MODES[op])
+
+
+# One element this large puts every lattice above int64.  It is no power of two:
+# 2**61 is 1 modulo P1, so powers of two share residues and would fall back to Python.
+WIDE = Fraction(-(10 ** 19))
+
+
+@given(number_sets(max_size=7, max_num=10 ** 30, max_den=64), number_sets(max_size=7, max_num=10 ** 30, max_den=64))
+def test_residue_path_matches_the_oracles(a, b):
+    """Above int64, + and - count residues while hi - lo < P1 * P2 and run Python beyond it."""
+    pytest.importorskip("numpy")
+    saved, sets.NUMPY_MIN_PAIRS = sets.NUMPY_MIN_PAIRS, 0
+    try:
+        a, b = NumberSet([*a, WIDE]), NumberSet([*b, WIDE])
+        for op in "+-":
+            pc = pair_counts(a, b, op)
+            scale = pc.denom // a.denom, pc.denom // b.denom
+            width = (a.ints[-1] - a.ints[0]) * scale[0] + (b.ints[-1] - b.ints[0]) * scale[1]
+            assert isinstance(pc.values, sets._Representatives) == (width < P1 * P2)
+            assert histogram(pc) == naive_rep(a, b, MODES[op])
+            assert pc.to_set() == NumberSet(naive_rep(a, b, MODES[op]))
+        delta = naive_rep(a, a, "difference")
+        report = energy_report(a)
+        assert energy(a, b) == energy(a, b, via="sum") == quadruple_energy(a, b)
+        assert report.E == sum(c ** 2 for c in delta.values())
+        assert report.E3 == sum(c ** 3 for c in delta.values())
+        assert report.E15 == sum((RadicalSum({c: c}) for c in delta.values()), RadicalSum())
+    finally:
+        sets.NUMPY_MIN_PAIRS = saved
+
+
+def test_residue_collision_falls_back_to_python(paths, monkeypatch):
+    """With P1 = 101, distinct values share residues; the P2 check sends the count to Python."""
+    pytest.importorskip("numpy")
+    monkeypatch.setattr(sets, "NUMPY_MIN_PAIRS", 1)
+    monkeypatch.setattr(sets, "P1", 101)
+    a, b = NumberSet((1 << 62) + i for i in range(0, 300, 7)), NumberSet(range(0, 200, 3))
+    for op, mode in (("+", "sum"), ("-", "difference")):
+        pc = pair_counts(a, b, op)
+        assert histogram(pc) == naive_rep(a, b, mode)
+        assert pc.to_set() == NumberSet(naive_rep(a, b, mode))
+    assert paths == ["residue", "python"] * 2
 
 
 def test_numpy_blocks_merge(paths, monkeypatch):
@@ -158,6 +208,14 @@ class TestBuildsOnce:
         assert sorted(builds) == sorted([(tuple(values["a"]), tuple(values["b"]), "+"),
                                          (fa, tuple(values["c"]), "+")])
 
+    def test_energy_keeps_only_the_diagonal(self):
+        """E(A, B) is read once, so its histogram is not kept; delta_A is, for |A-A| and the moments."""
+        a, b = NumberSet([1, 2, 4]), NumberSet([0, 3])
+        assert energy(a, b) == quadruple_energy(a, b)
+        assert a._memo == {}
+        energy_report(a)
+        assert list(a._memo) == [("-", id(a))]
+
     def test_image_is_kept_per_function(self):
         a = NumberSet([1, 2, 3])
         assert apply_fn(SQUARE, a) is apply_fn(SQUARE, a)
@@ -209,25 +267,37 @@ def test_cli_import_leaves_numpy_out():
     assert done.returncode == 0 and done.stdout.strip() == "False"
 
 
-def test_battery_pair_and_search_step_leave_numpy_out():
-    """A 64-element battery pair and one annealing step never import numpy."""
+def test_search_step_leaves_numpy_out():
+    """One annealing step counts far fewer than NUMPY_MIN_PAIRS pairs, so numpy is never imported."""
     code = """
-import random, sys
-from fractions import Fraction
-from convexlab.audit import check_cauchy_schwarz, check_holder, check_lemma_e15
+import sys
 from convexlab.search import SearchConfig, extremal_search
-from convexlab.sets import NumberSet
-rng = random.Random(7)
-def rationals(n):
-    vals = set()
-    while len(vals) < n:
-        vals.add(Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 64)))
-    return NumberSet(vals)
-a, b = rationals(64), rationals(64)
-check_lemma_e15(a, b), check_holder(a), check_cauchy_schwarz(a, "sum"), check_cauchy_schwarz(a, "cross", b)
 extremal_search(SearchConfig(objective="diffProdRatio", set_size=24, iterations=1))
 print('numpy' in sys.modules)
 """
     done = _python(code)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_battery_pair_counts_its_cross_energy_on_residues(monkeypatch):
+    """In a 64-element battery pair only A - (A+B) is large enough for numpy, on a 99-bit lattice."""
+    pytest.importorskip("numpy")
+    seen, original = [], sets._residue_counts
+
+    def recording(ia, ib, op, denom):
+        seen.append((len(ia), len(ib), op))
+        return original(ia, ib, op, denom)
+
+    monkeypatch.setattr(sets, "_residue_counts", recording)
+    rng = random.Random(7)
+
+    def rationals(n):
+        vals = set()
+        while len(vals) < n:
+            vals.add(Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 64)))
+        return NumberSet(vals)
+
+    a, b = rationals(64), rationals(64)
+    check_lemma_e15(a, b), check_holder(a), check_cauchy_schwarz(a, "sum"), check_cauchy_schwarz(a, "cross", b)
+    assert seen == [(len(a), len(sumset(a, b)), "-")]

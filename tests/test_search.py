@@ -1,3 +1,4 @@
+import threading
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,18 @@ class TestSearch:
         assert serial == parallel
         restarts_seen = {t["restart"] for t in serial.traces}
         assert restarts_seen == {0, 1, 2}
+
+    def test_workers_start_no_thread(self, monkeypatch):
+        started, real_start = [], threading.Thread.start
+
+        def start(thread):
+            started.append(thread)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        c = cfg(iterations=10, seed=6, restarts=3)
+        assert extremal_search(c, workers=1) == extremal_search(c, workers=4)
+        assert started == []
 
     def test_ap_initial_is_shifted_positive(self):
         c = cfg(initial=FamilySpec("AP", 8), iterations=0, seed=0,
