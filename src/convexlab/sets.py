@@ -8,21 +8,21 @@ brings any lattice to it), so equal sets have equal forms.  The Fractions of
 Every pairwise loop is `pair_counts(a, b, op)`, the multiplicity histogram of
 x op y over A x B for op in + - * (+ and - on the lattice lcm(denom_a, denom_b),
 * on denom_a * denom_b).  Set sizes, combination sets and energy moments all
-read it.  It is kept on `a`, keyed by (op, b), and dies with `a`;
-`count_pairs` is the same count unkept, for sets that are read once.
+read it.  It is kept on `a`, keyed by (op, b), and dropped when `a` or `b`
+dies; `count_pairs` is the same count unkept, for sets that are read once.
 
 numpy counts only counts of NUMPY_MIN_PAIRS pairs or more, on one of two paths
-chosen from the inputs before the count starts; it is imported then.
+chosen from the inputs before the count starts; it is imported then.  Both
+sort one key per pair and read each run of equal keys as one value (`_runs`).
 
 * Where int64 is proven (max|x| + max|y| < 2**62 for + and -, max|x| * max|y|
-  < 2**62 for *), it counts value windows of at most BLOCK_PAIRS pairs each.
-* Otherwise, for + and - on a lattice narrower than P1 * P2 (about 2**122),
-  it sorts the pairs by their value modulo P1 = 2**61 - 1; each run of equal
-  residues is one value.  Neighbours in a run are checked modulo P2, which is
-  coprime to P1: two values equal modulo both differ by a multiple of P1 * P2,
-  so they are equal.  If a run disagrees modulo P2, the count reruns in Python.
-  Each value is kept as one representative pair and built only when read;
-  the multiplicities and the spectrum are there at once.
+  < 2**62 for *), the key is the value itself.
+* Otherwise, for + and - on a lattice narrower than P1 * P2 (about 2**123),
+  the key is the value modulo the prime P1 = 2**61 - 31.  Neighbours in a run
+  are checked modulo P2, which is coprime to P1: two values equal modulo both
+  differ by a multiple of P1 * P2, so they are equal.  If a run disagrees
+  modulo P2, the count reruns in Python.  Each value is kept as one
+  representative pair and built only when read.
 
 All other counts (* on wide lattices, wider lattices, small counts), and all
 counts without numpy, run in pure Python on exact ints, with the same result.
@@ -45,13 +45,17 @@ from .errors import DomainError, EmptyInputError, ParseError, over_budget
 Scalar = Fraction
 
 PAIR_BUDGET = 1 << 25  # pairs in one count; T3 on random-convex n=256 needs 16.8M
-# From 2**16 pairs numpy saves about 20 ms per count (38-bit lattice, 2 cores),
-# so a few counts repay its import (about 130 ms and 14 MB); below 2**15 it
-# saves under 10 ms, and runs made of such counts would not repay it.
-NUMPY_MIN_PAIRS = 1 << 16
+# Against the Python Counter on distinct random values (2 vCPUs, numpy 2.4), the int64
+# path wins from 256 pairs and is 8x faster at 4,096; the residue path on a 113-bit
+# lattice wins from 600-1,000 pairs and is 2.7x faster at 4,096.  A search step
+# (24 x 24 pairs) and an incidence instance (at most 22 x 22) stay below the
+# threshold, so they never pay numpy's import (about 130 ms and 14 MB).
+NUMPY_MIN_PAIRS = 1 << 11
 INT64_SAFE = 1 << 62
-BLOCK_PAIRS = 1 << 16  # pairs per numpy window: its few temporary arrays stay near 2 MB
-P1 = (1 << 61) - 1  # residues below it, and sums of two, fit int64
+# A prime: residues below it, and sums of two, fit int64.  2 has order (P1 - 1) / 8
+# modulo it, so no two powers of two share a residue; modulo the Mersenne prime
+# 2**61 - 1, 2**k and 2**(k + 61) do, and their counts would rerun in Python.
+P1 = (1 << 61) - 31
 P2 = (1 << 62) - 57  # coprime to P1; the residue path needs lattices narrower than P1 * P2
 OPERATORS = {"+": add, "-": sub, "*": mul}
 
@@ -199,8 +203,19 @@ def pair_counts(a: NumberSet, b: NumberSet, op: str) -> PairCounts:
     key = (op, id(b))
     hit = a._memo.get(key)
     if hit is None or hit[0]() is not b:  # the weak reference pins the id to b
-        hit = a._memo[key] = (ref(b), count_pairs(a, b, op))
+        hit = a._memo[key] = (ref(b, _forgetter(ref(a), key)), count_pairs(a, b, op))
     return hit[1]
+
+
+def _forgetter(owner: ref, key):
+    """The callback that drops owner's entry under key when its right operand dies."""
+
+    def forget(dead: ref) -> None:
+        a = owner()
+        if a is not None and a._memo.get(key, (None,))[0] is dead:
+            del a._memo[key]
+
+    return forget
 
 
 def count_pairs(a: NumberSet, b: NumberSet, op: str) -> PairCounts:
@@ -234,53 +249,14 @@ def _python_counts(ia, ib, op: str, denom: int) -> PairCounts:
 
 
 def _numpy_counts(ia, ib, op: str, denom: int) -> PairCounts:
-    """Count value window by window, each window [lo, hi) holding at most BLOCK_PAIRS pairs.
-
-    Every row x op y_j is made non-decreasing in j: x - y is x + (-y) with -y
-    ascending, and x * y is (-x) * (-y) when x < 0.  The pairs of a window are
-    then one slice of each row, found by binary search, and the windows'
-    histograms are disjoint and ascending, so they only need concatenating.
-    """
+    """Count x op y in int64: every pair's value, sorted in place; each run is one value."""
     import numpy as np
 
-    ends = [OPERATORS[op](p, q) for p in (ia[0], ia[-1]) for q in (ib[0], ib[-1])]
-    x, y = np.array(ia, dtype=np.int64), np.array(ib, dtype=np.int64)
-    if op == "*":
-        rows = [(x[x >= 0], y), (-x[x < 0], -y[::-1])]
-    else:
-        rows = [(x, y if op == "+" else -y[::-1])]
-
-    def below(t: int) -> list:  # per row: how many j give a value < t
-        if op != "*":
-            return [np.searchsorted(z, t - xs) for xs, z in rows]
-        # x * z < t  <=>  z < ceil(t / x) for x > 0; a row with x = 0 is all zeros
-        return [np.where(xs > 0, np.searchsorted(z, -(-t // np.maximum(xs, 1))), len(z) * (t > 0))
-                for xs, z in rows]
-
-    def fits(start: list, t: int) -> bool:
-        return sum(int((e - s).sum()) for s, e in zip(start, below(t))) <= BLOCK_PAIRS
-
-    lo, top, parts = min(ends), max(ends) + 1, []
-    start = below(lo)
-    while lo < top:
-        hi, bad = top, top + 1
-        if not fits(start, top):  # one value always fits: its multiplicity is at most min(|A|, |B|)
-            hi, bad = lo + 1, top
-            while bad - hi > 1:
-                mid = (hi + bad) // 2
-                hi, bad = (mid, bad) if fits(start, mid) else (hi, mid)
-        end, window = below(hi), []
-        for (xs, z), s, e in zip(rows, start, end):
-            n = e - s  # row r contributes its columns s[r] .. e[r] - 1
-            v = z[np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - s, n)]
-            (np.multiply if op == "*" else np.add)(v, np.repeat(xs, n), out=v)
-            window.append(v)
-        v, k = np.unique(np.concatenate(window), return_counts=True)
-        parts.append((v, k.astype(np.int32)))
-        lo, start = hi, end
-    values, counts = (np.concatenate(p) for p in zip(*parts))
-    mults, times = np.unique(counts, return_counts=True)
-    return PairCounts(values, counts, denom, dict(zip(mults.tolist(), times.tolist())))
+    ufunc = {"+": np.add, "-": np.subtract, "*": np.multiply}[op]
+    v = ufunc.outer(np.array(ia, dtype=np.int64), np.array(ib, dtype=np.int64)).ravel()
+    v.sort()
+    starts, counts, spectrum = _runs(v[1:] == v[:-1])
+    return PairCounts(v[starts], counts, denom, spectrum)
 
 
 def _residue_counts(ia, ib, op: str, denom: int) -> PairCounts:
@@ -288,9 +264,8 @@ def _residue_counts(ia, ib, op: str, denom: int) -> PairCounts:
 
     The caller has checked that the lattice is narrower than P1 * P2, so
     sorted neighbours that agree modulo P1 and modulo P2 are equal values.
-    If any of them disagree modulo P2 (2**61 is 1 modulo P1, so 2**k and
-    2**(k + 61) do), the count runs in Python instead.  Each run of equal
-    residues is kept as its length and one pair index.
+    If any of them disagree modulo P2, the count runs in Python instead.
+    Each run of equal residues is kept as its length and one pair index.
     """
     import numpy as np
 
@@ -310,11 +285,19 @@ def _residue_counts(ia, ib, op: str, denom: int) -> PairCounts:
     if (same & (r[1:] != r[:-1])).any():
         return _python_counts(ia, ib, op, denom)
     del r
-    starts = np.flatnonzero(np.concatenate(([True], ~same)))
-    counts = np.diff(np.append(starts, len(order)))
-    mults, times = np.unique(counts, return_counts=True)
-    values = _Representatives(ia, ib, op, order[starts])
-    return PairCounts(values, counts, denom, dict(zip(mults.tolist(), times.tolist())))
+    starts, counts, spectrum = _runs(same)
+    return PairCounts(_Representatives(ia, ib, op, order[starts]), counts, denom, spectrum)
+
+
+def _runs(same):
+    """Run starts, run lengths and spectrum of sorted keys, from their neighbour-equality mask."""
+    import numpy as np
+
+    bounds = np.flatnonzero(np.concatenate(([True], ~same, [True])))  # run starts, then the end
+    counts = np.diff(bounds)
+    times = np.bincount(counts)
+    mults = np.flatnonzero(times)
+    return bounds[:-1], counts, dict(zip(mults.tolist(), times[mults].tolist()))
 
 
 class _Representatives:

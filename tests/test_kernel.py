@@ -1,15 +1,17 @@
 """The pair kernel: every counting path against the oracles, the bounds that pick a path, memo reuse and budgets."""
+import gc
 import importlib
 import json
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from conftest import number_sets
 from convexlab.audit import audit_theorem, check_cauchy_schwarz, check_holder, check_lemma_e15
@@ -19,7 +21,7 @@ from convexlab.errors import BudgetError
 from convexlab.families import FamilySpec, generate
 from convexlab.functions import EXP2, EXP2_BUDGET, POWER_BUDGET, SQUARE, apply_fn, fn_by_name
 from convexlab.radicals import RadicalSum
-from convexlab.sets import P1, P2, PAIR_BUDGET, NumberSet, pair_counts, sumset
+from convexlab.sets import P1, P2, PAIR_BUDGET, NumberSet, pair_counts, sumset, write_set_file
 from oracles import naive_rep, quadruple_energy
 
 sets = importlib.import_module("convexlab.sets")
@@ -111,8 +113,7 @@ def test_int64_boundary(op, xs, ys, expected, paths, monkeypatch):
     assert histogram(pc) == naive_rep(a, b, MODES[op])
 
 
-# One element this large puts every lattice above int64.  It is no power of two:
-# 2**61 is 1 modulo P1, so powers of two share residues and would fall back to Python.
+# One element this large puts every lattice above int64.
 WIDE = Fraction(-(10 ** 19))
 
 
@@ -153,15 +154,41 @@ def test_residue_collision_falls_back_to_python(paths, monkeypatch):
     assert paths == ["residue", "python"] * 2
 
 
-def test_numpy_blocks_merge(paths, monkeypatch):
-    """Counts spanning several blocks, rows and columns both split, add up exactly."""
+POWERS = [1 << k for k in range(120)]
+
+
+@pytest.mark.parametrize("op", "+-")
+@pytest.mark.parametrize("xs, ys", [([0, -(1 << 62)], [-2, -(1 << 62)]),
+                                    ([0, *POWERS, *(-v for v in POWERS)], [0])], ids=["two", "powers"])
+def test_powers_of_two_count_on_residues(op, xs, ys, paths, monkeypatch):
+    """Modulo 2**61 - 1, 2**k and 2**(k + 61) share a residue (-2**62 and -2 do); modulo P1 no two of +-2**k do."""
     pytest.importorskip("numpy")
     monkeypatch.setattr(sets, "NUMPY_MIN_PAIRS", 1)
-    monkeypatch.setattr(sets, "BLOCK_PAIRS", 7)
-    a, b = NumberSet(range(0, 40, 3)), NumberSet(range(0, 30, 2))
-    for op, mode in MODES.items():
-        assert histogram(pair_counts(a, b, op)) == naive_rep(a, b, mode)
-    assert set(paths) == {"numpy"}
+    a, b = NumberSet(xs), NumberSet(ys)
+    pc = pair_counts(a, b, op)
+    assert paths == ["residue"]
+    assert histogram(pc) == naive_rep(a, b, MODES[op])
+    assert pc.to_set() == NumberSet(naive_rep(a, b, MODES[op]))
+
+
+@given(st.integers(-50, 50), st.integers(1, 9), st.integers(2, 30), st.integers(-50, 50), st.integers(1, 9),
+       st.integers(2, 30))
+def test_int64_path_heavy_multiplicities(s0, d0, n0, s1, d1, n1):
+    """Arithmetic progressions with 0 and negative elements repeat values many times under + - *."""
+    pytest.importorskip("numpy")
+    saved, sets.NUMPY_MIN_PAIRS = sets.NUMPY_MIN_PAIRS, 1
+    try:
+        a = NumberSet([0, *range(s0, s0 + d0 * n0, d0)])
+        b = NumberSet([0, -1, *range(s1, s1 + d1 * n1, d1)])
+        for x, y in ((a, b), (b, a), (a, a)):
+            for op, mode in MODES.items():
+                pc = sets.count_pairs(x, y, op)
+                assert hasattr(pc.values, "dtype")  # the int64 path ran
+                want = naive_rep(x, y, mode)
+                assert histogram(pc) == want
+                assert pc.spectrum == Counter(want.values())
+    finally:
+        sets.NUMPY_MIN_PAIRS = saved
 
 
 def test_python_path_when_numpy_is_absent(paths, monkeypatch):
@@ -178,6 +205,19 @@ def test_memo_is_per_set_and_per_operand(builds):
     pair_counts(a, NumberSet([1, 3]), "+")  # an equal but distinct right operand is counted again
     pair_counts(NumberSet([1, 2, 4]), b, "+")  # so is an equal left operand
     assert len(builds) == 3
+
+
+def test_memo_entry_dies_with_the_right_operand(builds):
+    a, b = NumberSet([1, 2, 4]), NumberSet([1, 3])
+    kept = pair_counts(a, b, "-")
+    gc.collect()
+    assert pair_counts(a, b, "-") is kept and len(builds) == 1
+    key = ("-", id(b))
+    del b
+    gc.collect()
+    assert key not in a._memo
+    assert pair_counts(a, a, "+") is pair_counts(a, a, "+")  # a set is its own right operand
+    assert list(a._memo) == [("+", id(a))]
 
 
 class TestBuildsOnce:
@@ -280,8 +320,26 @@ print('numpy' in sys.modules)
     assert done.stdout.strip() == "False"
 
 
+def test_incidence_at_22_leaves_numpy_out(tmp_path):
+    """An incidence instance at n = 22 counts at most 22 x 22 pairs, below NUMPY_MIN_PAIRS."""
+    rng, argvs = random.Random(3), []
+    for fn in ("square", "power:3", "reciprocal", "exp2"):
+        files = [str(tmp_path / f"{fn.replace(':', '')}-{part}.txt") for part in "ABC"]
+        for path in files:
+            values = (rng.sample(range(1, 45), 22) if fn == "exp2"  # exp2 is exact only on integers
+                      else generate(FamilySpec("random-convex", 22, seed=rng.getrandbits(32))).elements)
+            write_set_file(path, NumberSet(values))
+        argvs.append(["incidence", "--input", files[0], "--bset", files[1], "--cset", files[2], "--fn", fn,
+                      "--workers", "2", "--output", str(tmp_path / "report.json")])
+    done = _python(f"import sys\nfrom convexlab.cli import main\n"
+                   f"print([main(argv) for argv in {argvs!r}], 'numpy' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[0, 0, 0, 0] False"
+
+
 def test_battery_pair_counts_its_cross_energy_on_residues(monkeypatch):
-    """In a 64-element battery pair only A - (A+B) is large enough for numpy, on a 99-bit lattice."""
+    """Denominators up to 64 put a 64-element battery pair above int64, and each of its counts has
+    4,096 pairs or more, so all run on residues: A-A, B-B, A+B, A-(A+B), A+A and the cross A-B."""
     pytest.importorskip("numpy")
     seen, original = [], sets._residue_counts
 
@@ -300,4 +358,5 @@ def test_battery_pair_counts_its_cross_energy_on_residues(monkeypatch):
 
     a, b = rationals(64), rationals(64)
     check_lemma_e15(a, b), check_holder(a), check_cauchy_schwarz(a, "sum"), check_cauchy_schwarz(a, "cross", b)
-    assert seen == [(len(a), len(sumset(a, b)), "-")]
+    n = len(a)
+    assert seen == [(n, n, "-"), (n, n, "-"), (n, n, "+"), (n, len(sumset(a, b)), "-"), (n, n, "+"), (n, n, "-")]
