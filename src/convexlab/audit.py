@@ -1,40 +1,45 @@
-"""Inequality audits: constant-free checks and theorem-chain replays, run from step tables.
+"""Inequality audits: constant-free checks and theorem-chain replays, with every step a monomial.
 
-Each inequality is written once, as a step form that builds its LHS and RHS
-from a per-call `Quantities` memo, so every set, energy moment and cross
-energy is computed once per audit.  A table row, `Step`, applies a form to
-named roles and gives the step's name, its kind and its exponent in the chain
-identity.  DECIDED steps (Holder, Cauchy-Schwarz, the E_1.5 bridge) get exact
-PASS/FAIL verdicts via compare_radical, on other sides than the reported ones
-where the form returns them (the bridge is decided on both sides cubed).
-REPORT_ONLY steps are bounds with an implied constant: never pass/fail, they
-carry the exact ratio LHS/RHS of the constant-free parts, regression-pinned
-against committed fixtures.
+Each inequality form is one line of data, "LHS <= RHS" or "LHS << RHS", whose
+sides are products of rational powers of named quantities: set sizes |X|,
+the energy moments E(X), E3(X) and E15(X) (E, E_3, E_1.5), the cross energy
+E(X,Y) and log (log2|A|).  A table row, `Step`, fills a form's roles X, Y, S,
+F with sets of the call and carries its exponent in the chain identity.  One
+evaluator, `_value`, reads the quantities from a per-call `Quantities` memo,
+so every set, moment and cross energy is computed once per audit, and
+multiplies integer powers out exactly; fractional ones make a power_product.
 
-A chain is a table of steps plus its final exponent ratio, run by one interpreter:
+"<=" rows are DECIDED: exact PASS/FAIL verdicts via compare_radical, on both
+sides raised to the lcm of the row's exponent denominators (3 for the E_1.5
+bridge: a radical sum against an integer).  "<<" rows are REPORT_ONLY bounds
+with an implied constant: never pass/fail, they carry the exact ratio
+LHS/RHS, regression-pinned against committed fixtures.
 
-  T1  Holder, E_1.5 bridge with B = -A, then the third-moment and
-      cross-energy caps; final ratio |f(A)+C|^6 |A-A|^5 (log|A|)^2 / |A|^14.
+  T1  Holder, the E_1.5 bridge with B = -A, then the third-moment and
+      cross-energy caps against |f(A)+C|.
   T2  Cauchy-Schwarz on |A+A|, the self-energy cap, the bridge with B = A,
-      then the same two caps; final |f(A)+C|^10 |A+A|^9 (log|A|)^2 / |A|^24.
-  T3  Cauchy-Schwarz twice, both self-energy caps, both bridges, and four
-      caps, every shifted-image size pinned to |A+f(A)|;
-      final |A+f(A)|^19 (log|A|)^2 / |A|^24.
+      then the same two caps.
+  T3  Cauchy-Schwarz twice, both self-energy caps, both bridges and four
+      caps, every shifted-image size pinned to |A+f(A)|.
+
+A chain's final ratio is derived, never written: `Chain.final` is minus the
+exponent-weighted sum of its rows' LHS - RHS exponents.  The energies cancel,
+so it is a monomial in set sizes and log|A|, and final * prod(ratio^e) = 1.
+Decided ratios are at most 1, so final * prod(REPORT_ONLY ratio^e) >= 1;
+`chain_consistency_bounds` re-derives this from intervals.  The search
+objectives read their exponents from the same finals.
 
 With the log-as-product function the image sumset size |f(A)+f(A)| is
 computed as |A*A|; the T1/T2 chains then audit the difference-product and
 sum-product corollaries (labels C_diffprod / C_sumprod).
-
-Each REPORT_ONLY ratio is an equality by definition, so a chain satisfies the
-identity  final_ratio * prod(step_ratio^e) >= 1  with e the exponent in each
-step's row; `chain_consistency_bounds` reads the exponents from the table and
-re-derives the identity from intervals; tests assert it.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from .comparison import (
     LADDER,
@@ -45,9 +50,10 @@ from .comparison import (
     power_product,
     ratio_bounds,
 )
-from .energy import EnergyReport, energy, energy_report
+from .energy import energy, energy_report
 from .errors import AuditFailure, DomainError, EmptyInputError
 from .functions import LOG, ConvexFn, apply_fn
+from .radicals import RadicalSum
 from .sets import NumberSet, PairCounts, pair_counts
 
 PASS, FAIL, REPORT_ONLY = "PASS", "FAIL", "REPORT_ONLY"
@@ -55,7 +61,14 @@ DECIDED = "PASS/FAIL"
 
 LOG_PREC_BITS = 100  # ~30 digits; log sizes enter as exact dyadic upper bounds
 
-ONE_THIRD, TWO_THIRDS, THREE_HALVES = Fraction(1, 3), Fraction(2, 3), Fraction(3, 2)
+# Step forms.  A row fills in the roles X, Y, S (a combination set) and F.
+HOLDER_FORM = "|X|^6 <= E15(X)^2 |X-X|"
+BRIDGE_FORM = "E15(X)^2 |Y|^2 <= E3(X)^2/3 E3(Y)^1/3 E(X,S)"  # S = X+Y
+CS_FORM = "|X|^2 |Y|^2 <= E(X,Y) |S|"  # S = X+Y or X-Y
+CS_SPLIT_FORM = "E(X,Y)^2 <= E(X) E(Y)"
+ENERGY_CAP_FORM = "E(X) << E15(X)^2/3 |S|^2/3 |X|^1/3"  # S a shifted image of X
+CROSS_CAP_FORM = "E(X,F) << |S| |F|^3/2"
+THIRD_CAP_FORM = "E3(X) << |S|^2 |X| log"
 
 
 @dataclass(frozen=True)
@@ -89,7 +102,7 @@ class AuditReport:
 class Quantities:
     """The sets and numbers one audit call reads, each computed at most once.
 
-    Sets are named by role ("A", "B", "C", "F", the image "f(A)", "-A") or as
+    Sets are named by role ("A", "B", "C", "F", the image "f(A)") or as
     "X+Y" / "X-Y" of two roles.  A combination's size is read from the pair
     histogram its set comes from, which the left operand keeps, so |A-A| and
     the moments of A share one delta_A.  Sets, moments and cross energies
@@ -108,8 +121,6 @@ class Quantities:
         return self._once(name, lambda: self._build(name))
 
     def _build(self, name: str) -> NumberSet:
-        if name == "-A":
-            return self.set("A").negate()
         if name == "f(A)":
             return apply_fn(self.fn, self.set("A"))
         if name == "C":
@@ -122,170 +133,169 @@ class Quantities:
             return pair_counts(self.set("A"), self.set("A"), "*")
         for op in "+-":
             x, found, y = name.partition(op)
-            if found and x:
+            if found:
                 return pair_counts(self.set(x), self.set(y), op)
         return None
 
-    def size(self, name: str) -> int:
-        pairs = self._pairs(name)
-        return len(self.set(name) if pairs is None else pairs)
-
-    def moments(self, name: str) -> EnergyReport:
-        name = "A" if name == "-A" else name  # delta_{-A}(s) = delta_A(-s): the same moments
-        return self._once(("moments", name), lambda: energy_report(self.set(name)))
-
-    def cross(self, x: str, y: str) -> int:
-        """E(X, Y); the diagonal E(X) is read from `moments`."""
-        if x == y:
-            return self.moments(x).E
-        return self._once(("cross", x, y), lambda: energy(self.set(x), self.set(y)))
+    def value(self, quantity: tuple):
+        """One quantity: ("size", X), ("E" | "E3" | "E15", X), ("E", X, Y) or ("log",)."""
+        kind, *names = quantity
+        if kind == "log":
+            return self.log
+        if kind == "size":
+            pairs = self._pairs(names[0])
+            return len(self.set(names[0]) if pairs is None else pairs)
+        if len(names) == 2:
+            return self._once(quantity, lambda: energy(self.set(names[0]), self.set(names[1])))
+        return getattr(self._once(("moments", *names), lambda: energy_report(self.set(names[0]))), kind)
 
 
-# Step forms map a call's Quantities and a row's roles to (lhs, rhs), or to
-# (lhs, rhs, decided) when the verdict compares other sides than it reports.
+def _factors(text: str, roles: dict[str, str]) -> tuple[tuple[tuple, Fraction], ...]:
+    """One side of a form, e.g. "E15(X)^2 |Y|^2", as (quantity, exponent) factors with the roles filled in.
 
-
-def holder_lower(q: Quantities, x: str) -> tuple:
-    """|X|^6 <= E_1.5(X)^2 |X-X|."""
-    return q.size(x) ** 6, q.moments(x).E15 ** 2 * q.size(f"{x}-{x}")
-
-
-def e15_bridge(q: Quantities, x: str, y: str, x_plus_y: str) -> tuple:
-    """E_1.5(X)^2 |Y|^2 <= E_3(X)^(2/3) E_3(Y)^(1/3) E(X, X+Y), decided on both sides cubed.
-
-    Cubed, the left is an integer-coefficient radical sum and the right an integer.
+    |X| is the quantity ("size", X) and E(X,X) is E(X).  |-A| and |f(A)| are
+    |A| (f is injective on the audit domain), and -A has the moments of A, as
+    delta_{-A}(s) = delta_A(-s).  Factors are kept apart, not merged by
+    quantity, so a side evaluates to the same value, in the same form, as
+    written.
     """
-    mx, my, exy, ny = q.moments(x), q.moments(y), q.cross(x, x_plus_y), q.size(y)
-    lhs = mx.E15 ** 2 * ny ** 2
-    rhs = power_product((mx.E3, TWO_THIRDS), (my.E3, ONE_THIRD), (exy, 1))
-    return lhs, rhs, (power_product((mx.E15, 6), (ny, 6)), mx.E3 ** 2 * my.E3 * exy ** 3)
+    factors = []
+    for token in text.split():
+        quantity, _, exponent = token.partition("^")
+        kind, _, sets = re.sub(r"^\|(.*)\|$", r"size(\1)", quantity).rstrip(")").partition("(")
+        same_as_a = ("-A", "f(A)") if kind == "size" else ("-A",)
+        names = (re.sub("[XYSF]", lambda m: roles[m[0]], s) for s in sets.split(",") if s)
+        names = ("A" if name in same_as_a else name for name in names)
+        factors.append(((kind, *dict.fromkeys(names)), Fraction(exponent or 1)))
+    return tuple(factors)
 
 
-def cauchy_schwarz(q: Quantities, x: str, y: str, x_op_y: str) -> tuple:
-    """|X|^2 |Y|^2 <= E(X, Y) |X op Y|, op + or -."""
-    return q.size(x) ** 2 * q.size(y) ** 2, q.cross(x, y) * q.size(x_op_y)
+def _value(q: Quantities, factors: tuple, power: int = 1):
+    """prod(quantity ** (e * power)) over a side's factors.
 
-
-def cauchy_schwarz_split(q: Quantities, x: str, y: str) -> tuple:
-    """E(X, Y)^2 <= E(X) E(Y)."""
-    return q.cross(x, y) ** 2, q.moments(x).E * q.moments(y).E
-
-
-def energy_cap(q: Quantities, x: str, shifted: str) -> tuple:
-    """E(X) << E_1.5(X)^(2/3) |shifted|^(2/3) |X|^(1/3)."""
-    m = q.moments(x)
-    return m.E, power_product((m.E15, TWO_THIRDS), (q.size(shifted), TWO_THIRDS), (q.size(x), ONE_THIRD))
-
-
-def cross_energy_cap(q: Quantities, x: str, shifted: str, f: str) -> tuple:
-    """E(X, F) << |shifted| |F|^(3/2)."""
-    return q.cross(x, f), power_product((q.size(shifted), 1), (q.size(f), THREE_HALVES))
-
-
-def third_energy_cap(q: Quantities, x: str, shifted: str) -> tuple:
-    """E_3(X) << |shifted|^2 |X| log|A|."""
-    return q.moments(x).E3, Fraction(q.size(shifted) ** 2 * q.size(x)) * q.log
+    Integer powers multiply out exactly; a RadicalSum only on an unraised side,
+    since E15(X)^6 would expand term by term.  The remaining factors, with that
+    exact product as one more, make a power_product.
+    """
+    exact, rest = 1, []
+    for quantity, e in factors:
+        base, e = q.value(quantity), e * power
+        if e.denominator == 1 and (power == 1 or not isinstance(base, RadicalSum)):
+            exact = base ** e.numerator * exact if e > 0 else exact / Fraction(base) ** -e.numerator
+        else:
+            rest.append((base, e))
+    return power_product(*rest, (exact, 1)) if rest else exact
 
 
 @dataclass(frozen=True)
 class Step:
-    """One table entry: a named step form applied to roles of the call."""
+    """One table row: a form with its roles filled in."""
 
     name: str
-    form: Callable[..., tuple]
-    roles: tuple[str, ...]
-    kind: str = DECIDED  # or REPORT_ONLY: an implied-constant bound, reported as a ratio
-    exponent: int = 0  # power of the step's ratio in the chain identity
+    kind: str  # DECIDED, or REPORT_ONLY: an implied-constant bound, reported as a ratio
+    lhs: tuple[tuple[tuple, Fraction], ...]
+    rhs: tuple[tuple[tuple, Fraction], ...]
+    exponent: int  # power of the step's ratio LHS/RHS in the chain identity
+
+
+def step(name: str, form: str, exponent: int = 0, **roles: str) -> Step:
+    """The row applying `form` to `roles`, e.g. step("cs_sum", CS_FORM, 6, X="A", Y="A", S="A+A")."""
+    lhs, relation, rhs = re.split(" (<=|<<) ", form)
+    kind = DECIDED if relation == "<=" else REPORT_ONLY
+    return Step(name, kind, _factors(lhs, roles), _factors(rhs, roles), exponent)
 
 
 @dataclass(frozen=True)
 class Chain:
-    """One proof route: its steps in order and its final exponent ratio."""
+    """One proof route: its steps in order, each with its exponent in the chain identity."""
 
     steps: tuple[Step, ...]
-    final: Callable[[Quantities], Fraction]
     log_label: str | None = None  # the corollary the chain audits when f = log
 
-    @property
-    def reads_c(self) -> bool:
-        """Whether a step reads C; only then do the |A| ~ |C| flags apply."""
-        return any("C" in role for step in self.steps for role in step.roles)
+    @cached_property
+    def final(self) -> dict[tuple, Fraction]:
+        """The final ratio's exponents: minus the exponent-weighted sum of every row's LHS - RHS."""
+        final: dict[tuple, Fraction] = {}
+        for s in self.steps:
+            for factors, sign in ((s.lhs, -s.exponent), (s.rhs, s.exponent)):
+                for quantity, e in factors:
+                    final[quantity] = final.get(quantity, 0) + sign * e
+        return {quantity: e for quantity, e in final.items() if e}
 
 
-HOLDER = Step("holder_lower", holder_lower, ("A",))
-CS_SUM = Step("cs_sum", cauchy_schwarz, ("A", "A", "A+A"))
+HOLDER = step("holder_lower", HOLDER_FORM, 2, X="A")
+CS_SUM = step("cs_sum", CS_FORM, 6, X="A", Y="A", S="A+A")
 CHAINS = {
     "T1": Chain(
         (
             HOLDER,
-            Step("e15_bridge", e15_bridge, ("A", "-A", "A-A")),
-            Step("third_energy_cap", third_energy_cap, ("A", "f(A)+C"), REPORT_ONLY, 2),
-            Step("cross_energy_cap", cross_energy_cap, ("A", "f(A)+C", "A-A"), REPORT_ONLY, 2),
+            step("e15_bridge", BRIDGE_FORM, 2, X="A", Y="-A", S="A-A"),
+            step("third_energy_cap", THIRD_CAP_FORM, 2, X="A", S="f(A)+C"),
+            step("cross_energy_cap", CROSS_CAP_FORM, 2, X="A", S="f(A)+C", F="A-A"),
         ),
-        lambda q: Fraction(q.size("f(A)+C") ** 6 * q.size("A-A") ** 5) * q.log ** 2 / q.size("A") ** 14,
         log_label="C_diffprod",
     ),
     "T2": Chain(
         (
             CS_SUM,
-            Step("energy_cap", energy_cap, ("A", "f(A)+C"), REPORT_ONLY, 6),
-            Step("e15_bridge", e15_bridge, ("A", "A", "A+A")),
-            Step("third_energy_cap", third_energy_cap, ("A", "f(A)+C"), REPORT_ONLY, 2),
-            Step("cross_energy_cap", cross_energy_cap, ("A", "f(A)+C", "A+A"), REPORT_ONLY, 2),
+            step("energy_cap", ENERGY_CAP_FORM, 6, X="A", S="f(A)+C"),
+            step("e15_bridge", BRIDGE_FORM, 2, X="A", Y="A", S="A+A"),
+            step("third_energy_cap", THIRD_CAP_FORM, 2, X="A", S="f(A)+C"),
+            step("cross_energy_cap", CROSS_CAP_FORM, 2, X="A", S="f(A)+C", F="A+A"),
         ),
-        lambda q: Fraction(q.size("f(A)+C") ** 10 * q.size("A+A") ** 9) * q.log ** 2 / q.size("A") ** 24,
         log_label="C_sumprod",
     ),
     "T3": Chain(
         (
-            Step("cs_cross_sumset", cauchy_schwarz, ("A", "f(A)", "A+f(A)")),
-            Step("cs_cross_split", cauchy_schwarz_split, ("A", "f(A)")),
-            Step("energy_cap", energy_cap, ("A", "A+f(A)"), REPORT_ONLY, 3),
-            Step("energy_cap_image", energy_cap, ("f(A)", "A+f(A)"), REPORT_ONLY, 3),
-            Step("e15_bridge", e15_bridge, ("A", "f(A)", "A+f(A)")),
-            Step("e15_bridge_image", e15_bridge, ("f(A)", "A", "A+f(A)")),
-            Step("third_energy_cap", third_energy_cap, ("A", "A+f(A)"), REPORT_ONLY, 1),
-            Step("third_energy_cap_image", third_energy_cap, ("f(A)", "A+f(A)"), REPORT_ONLY, 1),
-            Step("cross_energy_cap", cross_energy_cap, ("A", "A+f(A)", "A+f(A)"), REPORT_ONLY, 1),
-            Step("cross_energy_cap_image", cross_energy_cap, ("f(A)", "A+f(A)", "A+f(A)"), REPORT_ONLY, 1),
+            step("cs_cross_sumset", CS_FORM, 6, X="A", Y="f(A)", S="A+f(A)"),
+            step("cs_cross_split", CS_SPLIT_FORM, 3, X="A", Y="f(A)"),
+            step("energy_cap", ENERGY_CAP_FORM, 3, X="A", S="A+f(A)"),
+            step("energy_cap_image", ENERGY_CAP_FORM, 3, X="f(A)", S="A+f(A)"),
+            step("e15_bridge", BRIDGE_FORM, 1, X="A", Y="f(A)", S="A+f(A)"),
+            step("e15_bridge_image", BRIDGE_FORM, 1, X="f(A)", Y="A", S="A+f(A)"),
+            step("third_energy_cap", THIRD_CAP_FORM, 1, X="A", S="A+f(A)"),
+            step("third_energy_cap_image", THIRD_CAP_FORM, 1, X="f(A)", S="A+f(A)"),
+            step("cross_energy_cap", CROSS_CAP_FORM, 1, X="A", S="A+f(A)", F="A+f(A)"),
+            step("cross_energy_cap_image", CROSS_CAP_FORM, 1, X="f(A)", S="A+f(A)", F="A+f(A)"),
         ),
-        lambda q: Fraction(q.size("A+f(A)") ** 19) * q.log ** 2 / q.size("A") ** 24,
     ),
 }
 # A corollary label runs its chain with f = log.
 COROLLARIES = {chain.log_label: name for name, chain in CHAINS.items() if chain.log_label}
 THEOREMS = (*CHAINS, *COROLLARIES)
 
-LEMMA_E15 = Step("e15_bridge", e15_bridge, ("A", "B", "A+B"))
+LEMMA_E15 = step("e15_bridge", BRIDGE_FORM, X="A", Y="B", S="A+B")
 CAUCHY_SCHWARZ = {
     "sum": (CS_SUM,),
-    "diff": (Step("cs_diff", cauchy_schwarz, ("A", "A", "A-A")),),
+    "diff": (step("cs_diff", CS_FORM, X="A", Y="A", S="A-A"),),
     "cross": (
-        Step("cs_cross_sumset", cauchy_schwarz, ("A", "F", "A+F")),
-        Step("cs_cross_split", cauchy_schwarz_split, ("A", "F")),
+        step("cs_cross_sumset", CS_FORM, X="A", Y="F", S="A+F"),
+        step("cs_cross_split", CS_SPLIT_FORM, X="A", Y="F"),
     ),
 }
 # The caps of A against |f(A)+C|, then of f(A) against |A+C|.
 COROLLARY_CAPS = (
-    Step("energy_cap", energy_cap, ("A", "f(A)+C"), REPORT_ONLY),
-    Step("cross_energy_cap", cross_energy_cap, ("A", "f(A)+C", "F"), REPORT_ONLY),
-    Step("third_energy_cap", third_energy_cap, ("A", "f(A)+C"), REPORT_ONLY),
-    Step("energy_cap_image", energy_cap, ("f(A)", "A+C"), REPORT_ONLY),
-    Step("cross_energy_cap_image", cross_energy_cap, ("f(A)", "A+C", "F"), REPORT_ONLY),
-    Step("third_energy_cap_image", third_energy_cap, ("f(A)", "A+C"), REPORT_ONLY),
+    step("energy_cap", ENERGY_CAP_FORM, X="A", S="f(A)+C"),
+    step("cross_energy_cap", CROSS_CAP_FORM, X="A", S="f(A)+C", F="F"),
+    step("third_energy_cap", THIRD_CAP_FORM, X="A", S="f(A)+C"),
+    step("energy_cap_image", ENERGY_CAP_FORM, X="f(A)", S="A+C"),
+    step("cross_energy_cap_image", CROSS_CAP_FORM, X="f(A)", S="A+C", F="F"),
+    step("third_energy_cap_image", THIRD_CAP_FORM, X="f(A)", S="A+C"),
 )
 
 
-def _evaluate(step: Step, q: Quantities, flags: tuple[str, ...] = (), digits: int = 30) -> AuditReport:
-    """Run one table entry; REPORT_ONLY steps carry `flags`, decided ones none."""
-    lhs, rhs, *decided = step.form(q, *step.roles)
-    if step.kind == REPORT_ONLY:
+def _evaluate(row: Step, q: Quantities, flags: tuple[str, ...] = (), digits: int = 30) -> AuditReport:
+    """Run one table row; REPORT_ONLY rows carry `flags`, decided ones none."""
+    lhs, rhs = _value(q, row.lhs), _value(q, row.rhs)
+    if row.kind == REPORT_ONLY:
         verdict = REPORT_ONLY
     else:
-        verdict = PASS if compare_radical(*(decided[0] if decided else (lhs, rhs))) <= 0 else FAIL
+        power = lcm(*(e.denominator for _, e in row.lhs + row.rhs))
+        decided = (lhs, rhs) if power == 1 else (_value(q, row.lhs, power), _value(q, row.rhs, power))
+        verdict = PASS if compare_radical(*decided) <= 0 else FAIL
         flags = ()
     return AuditReport(
-        name=step.name,
+        name=row.name,
         verdict=verdict,
         lhs=decimal_of(lhs, digits),
         rhs=decimal_of(rhs, digits),
@@ -322,15 +332,13 @@ def check_cauchy_schwarz(
     if mode == "cross" and (f is None or len(f) == 0):
         raise EmptyInputError("cross mode needs the second set")
     q = Quantities({"A": a, "F": f})
-    return tuple(_evaluate(step, q, digits=digits) for step in CAUCHY_SCHWARZ[mode])
+    return tuple(_evaluate(s, q, digits=digits) for s in CAUCHY_SCHWARZ[mode])
 
 
 def clamped_log2(n: int) -> tuple[Fraction, bool]:
     """Dyadic upper bound of log2(n), clamped to 1 so it never vanishes."""
     value = log2_upper(n, LOG_PREC_BITS)
-    if value < 1:
-        return Fraction(1), True
-    return value, False
+    return max(value, Fraction(1)), value < 1
 
 
 def _approx_flags(a: NumberSet, c: NumberSet, f: NumberSet | None = None) -> list[str]:
@@ -359,7 +367,7 @@ def corollary_e3a_ratios(
     log_factor, clamped = clamped_log2(len(a))
     flags = tuple(_approx_flags(a, c, f) + (["log|A| clamped to 1"] if clamped else []))
     q = Quantities({"A": a, "C": c, "F": f}, fn, log_factor)
-    return [_evaluate(step, q, flags, digits) for step in COROLLARY_CAPS]
+    return [_evaluate(s, q, flags, digits) for s in COROLLARY_CAPS]
 
 
 @dataclass(frozen=True)
@@ -388,14 +396,12 @@ class ChainReport:
 
 def chain_consistency_bounds(chain: ChainReport, prec: int = LADDER[0]) -> tuple[Fraction, Fraction]:
     """Interval enclosure of final_ratio * prod(step_ratio^e); always >= 1 exactly."""
-    table = CHAINS[COROLLARIES.get(chain.theorem, chain.theorem)]
-    exps = {step.name: step.exponent for step in table.steps}
+    rows = CHAINS[COROLLARIES.get(chain.theorem, chain.theorem)].steps
     lo = hi = chain.final_ratio_exact
-    for step in chain.report_only_steps():
-        e = exps[step.name]
-        slo, shi = step.ratio_bounds(prec)
-        lo *= slo ** e
-        hi *= shi ** e
+    for report, row in zip(chain.steps, rows):
+        if row.kind == REPORT_ONLY:
+            slo, shi = report.ratio_bounds(prec)
+            lo, hi = lo * slo ** row.exponent, hi * shi ** row.exponent
     return lo, hi
 
 
@@ -437,10 +443,10 @@ def audit_theorem(
     inputs = {"A": a} if c is None else {"A": a, "C": c}
     q = Quantities(inputs, fn, log_factor)
     flags = ["log|A| clamped to 1"] if clamped else []
-    if chain.reads_c and fn.kind != "log":
+    if fn.kind != "log" and any("C" in quantity[-1] for quantity in chain.final):  # the bound reads C
         flags += _approx_flags(a, q.set("C"))
-    steps = tuple(_raise_on_fail(_evaluate(step, q, tuple(flags), digits), inputs) for step in chain.steps)
-    final = chain.final(q)
+    steps = tuple(_raise_on_fail(_evaluate(s, q, tuple(flags), digits), inputs) for s in chain.steps)
+    final = _value(q, tuple(chain.final.items()))
     return ChainReport(
         theorem=(fn.kind == "log" and chain.log_label) or name,
         steps=steps,

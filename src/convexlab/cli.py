@@ -13,6 +13,7 @@ import json
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import cache
 
 from .audit import THEOREMS, audit_theorem, theorem_fn
 from .errors import AuditFailure, ConvexLabError, ParseError
@@ -218,14 +219,15 @@ def cmd_search(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process; `main` runs cmd_<command>."""
     parser = _Parser(prog="convexlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stats", help="set sizes and energy moments")
     p.add_argument("--input", required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("audit", help="replay a theorem chain on a set file")
     p.add_argument("--input", required=True)
@@ -236,7 +238,6 @@ def build_parser() -> _Parser:
     p.add_argument("--fixtures", default=None, help="chain fixture file to check the ratios against")
     p.add_argument("--fixture-key", default=None)
     _add_common(p)
-    p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("incidence", help="point-curve incidence instance")
     p.add_argument("--input", required=True, help="A set file")
@@ -247,14 +248,12 @@ def build_parser() -> _Parser:
     p.add_argument("--workers", type=int, default=1,
                    help="caps parallelism; the count runs serially, so every value gives the same report")
     _add_common(p)
-    p.set_defaults(func=cmd_incidence)
 
     p = sub.add_parser("scan", help="growth exponents across a family")
     p.add_argument("--kind", choices=ALL_KINDS, required=True)
     p.add_argument("--fn", default="square")
     p.add_argument("--sizes", required=True, help="comma-separated sizes")
     _add_common(p)
-    p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("search", help="simulated-annealing extremal search")
     p.add_argument("--config", required=True, help="JSON search configuration")
@@ -262,7 +261,6 @@ def build_parser() -> _Parser:
     p.add_argument("--workers", type=int, default=1,
                    help="caps parallelism; restarts run serially, so every value gives the same report")
     _add_common(p)
-    p.set_defaults(func=cmd_search)
 
     return parser
 
@@ -274,7 +272,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ParseError as exc:
         _note(f"parse error: {exc}")
         return USAGE_ERROR

@@ -93,14 +93,6 @@ def level_fixture_payload() -> dict:
     }
 
 
-def level_corpus_maxima() -> tuple[Fraction, Fraction]:
-    max1 = max2 = Fraction(0)
-    for _, fn, a, tau in level_corpus():
-        max1 = max(max1, lemma_st1_ratio(fn, a, a, a, tau).ratio)
-        max2 = max(max2, lemma_st2_ratio(fn, a, a, a, tau).ratio)
-    return max1, max2
-
-
 def enr_fixture_payload() -> dict:
     families = {}
     for kind in ENR_KINDS:

@@ -70,7 +70,9 @@ class ConvexFn:
     def on_lattice(self, d: int) -> Callable[[int], int | None]:
         """The graph branch on the lattice Z/d: t -> d * f(t / d), None off the branch or the lattice.
 
-        `evaluate_on_graph` scaled by d in integer arithmetic, with the same exp2 budget.
+        The branch is t >= 0 for square and power, t > 0 for reciprocal, and every
+        t for exp2, whose value is rational only at integers; exp2 keeps the
+        budget of `apply`.
         """
         if self.kind in ("square", "power"):
             k = self.k if self.kind == "power" else 2
@@ -97,24 +99,6 @@ class ConvexFn:
         else:
             raise DomainError("log is never evaluated numerically; route through product_set")
         return f
-
-    def in_graph_domain(self, t: Fraction) -> bool:
-        """Membership in the injective convex branch used for curve families."""
-        if self.kind in ("square", "power"):
-            return t >= 0
-        if self.kind == "reciprocal":
-            return t > 0
-        if self.kind == "exp2":
-            return True
-        return False
-
-    def evaluate_on_graph(self, t: Fraction) -> Fraction | None:
-        """f(t) on the graph branch, or None when no rational point exists there."""
-        if not self.in_graph_domain(t):
-            return None
-        if self.kind == "exp2" and t.denominator != 1:
-            return None  # irrational value, cannot meet a rational grid
-        return self.apply(t)
 
     def audit_domain_ok(self, a: NumberSet) -> bool:
         """Whether a set is usable in audit/incidence pipelines for this function."""

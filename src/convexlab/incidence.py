@@ -35,11 +35,18 @@ class PointGrid:
 
 @dataclass(frozen=True)
 class CurveFamily:
+    """The curves y = f(x - b) + c for (b, c) in B x C."""
+
     fn: ConvexFn
-    shifts: tuple[tuple[Fraction, Fraction], ...]  # curve y = f(x - b) + c
+    b: NumberSet
+    c: NumberSet
+
+    @property
+    def shifts(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return tuple((bb, cc) for bb in self.b for cc in self.c)
 
     def __len__(self) -> int:
-        return len(self.shifts)
+        return len(self.b) * len(self.c)
 
 
 @dataclass(frozen=True)
@@ -70,8 +77,7 @@ def build_instance(fn: ConvexFn, a: NumberSet, b: NumberSet, c: NumberSet) -> tu
     fn.require_audit_domain(a)
     fa = apply_fn(fn, a)
     grid = PointGrid(xs=sumset(a, b), ys=sumset(fa, c))
-    shifts = tuple((bb, cc) for bb in b.elements for cc in c.elements)
-    return grid, CurveFamily(fn=fn, shifts=shifts)
+    return grid, CurveFamily(fn=fn, b=b, c=c)
 
 
 def incidence_hits(grid: PointGrid, family: CurveFamily) -> Counters:
@@ -80,18 +86,12 @@ def incidence_hits(grid: PointGrid, family: CurveFamily) -> Counters:
     Curves are grouped by b: w = D*f((x - b)/D) is computed once per (b, x) with the
     exact integer map of `ConvexFn.on_lattice`, then each c costs one y lookup.
     """
-    xs_i, lx = grid.xs.scaled()
-    ys_i, ly = grid.ys.scaled()
-    d = lcm(lx, ly, *(q.denominator for shift in family.shifts for q in shift))
-    xs = [v * (d // lx) for v in xs_i]
-    y_index = {v * (d // ly): i for i, v in enumerate(ys_i)}
-    by_b: dict[Fraction, list[int]] = {}
-    for b, c in family.shifts:
-        by_b.setdefault(b, []).append(c.numerator * (d // c.denominator))
+    d = lcm(grid.xs.denom, grid.ys.denom, family.b.denom, family.c.denom)
+    xs, bs, cs = ([v * (d // s.denom) for v in s.ints] for s in (grid.xs, family.b, family.c))
+    y_index = {v * (d // grid.ys.denom): i for i, v in enumerate(grid.ys.ints)}
     f, y_of = family.fn.on_lattice(d), y_index.get
     hits: Counters = Counter()
-    for b, cs in by_b.items():
-        bi = b.numerator * (d // b.denominator)
+    for bi in bs:
         ws = [(xi, w) for xi, x in enumerate(xs) if (w := f(x - bi)) is not None]
         for ci in cs:
             hits.update([(xi, yi) for xi, w in ws if (yi := y_of(w + ci)) is not None])

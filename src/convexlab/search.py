@@ -1,11 +1,12 @@
 """Simulated-annealing search for near-extremal sets under growth objectives.
 
 Objectives are the normalized growth ratios the theorem chains end with,
-e.g.  diffProdRatio = max{|A*A|, |A-A|} * (log2 n)^(2/11) / n^(14/11).
-The set size is fixed during a run, so the irrational normalization is a
-per-run constant (a 100-bit dyadic approximation, fixed convention: upper
-bound of the log power over lower bound of the size power) and objective
-comparisons are exact rational arithmetic.
+e.g.  diffProdRatio = max{|A*A|, |A-A|} * (log2 n)^(2/11) / n^(14/11),
+with the exponents read from the chain's derived final ratio.  The set size
+is fixed during a run, so the irrational normalization is a per-run constant
+(a 100-bit dyadic approximation, fixed convention: upper bound of the log
+power over lower bound of the size power) and objective comparisons are
+exact rational arithmetic.
 
 Moves either replace one element inside the window spanned by its neighbors
 or shift everything above a chosen gap, both rejecting proposals that break
@@ -15,31 +16,25 @@ distinctness or positivity.  Acceptance uses exp(-delta/T) evaluated with
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .comparison import fraction_to_decimal, pow_frac_bounds
-from .audit import clamped_log2
+from .audit import CHAINS, clamped_log2
 from .errors import DomainError
 from .families import FamilySpec, generate
 from .functions import ConvexFn, apply_fn, fn_by_name
 from .seeding import derive_seed
 from .sets import NumberSet, count_pairs
 
-OBJECTIVES = ("T1ratio", "T2ratio", "diffProdRatio", "sumProdRatio")
+# The theorem chain whose final ratio each objective normalizes
+OBJECTIVE_CHAINS = {"T1ratio": "T1", "T2ratio": "T2", "diffProdRatio": "T1", "sumProdRatio": "T2"}
+OBJECTIVES = tuple(OBJECTIVE_CHAINS)
 MOVES = ("element-replace", "gap-perturb")
 
 _WINDOW_STEPS = 1024
 _NORM_PREC_BITS = 100
-
-# (log exponent, size exponent) of the normalization for each objective
-_EXPONENTS = {
-    "T1ratio": (Fraction(2, 11), Fraction(14, 11)),
-    "diffProdRatio": (Fraction(2, 11), Fraction(14, 11)),
-    "T2ratio": (Fraction(2, 19), Fraction(24, 19)),
-    "sumProdRatio": (Fraction(2, 19), Fraction(24, 19)),
-}
 
 
 @dataclass(frozen=True)
@@ -71,14 +66,10 @@ class SearchConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SearchConfig":
-        initial = None
-        if "initial" in data and data["initial"] is not None:
-            d = dict(data["initial"])
-            for key in ("ratio", "start", "step"):
-                if key in d:
-                    d[key] = Fraction(d[key])
-            d.setdefault("n", data["set_size"])
-            initial = FamilySpec(**d)
+        spec = data.get("initial")
+        if spec is not None:
+            spec = {k: Fraction(v) if k in ("ratio", "start", "step") else v for k, v in spec.items()}
+            spec = FamilySpec(**{"n": data["set_size"], **spec})
         return cls(
             objective=data["objective"],
             set_size=int(data["set_size"]),
@@ -87,7 +78,7 @@ class SearchConfig:
             temp_initial=Fraction(str(data.get("temp_initial", "1"))),
             temp_decay=Fraction(str(data.get("temp_decay", "0.995"))),
             move_set=tuple(data.get("move_set", MOVES)),
-            initial=initial,
+            initial=spec,
             fn_name=data.get("fn", "square"),
             restarts=int(data.get("restarts", 1)),
         )
@@ -104,20 +95,26 @@ class SearchConfig:
             "fn": self.fn_name,
             "restarts": self.restarts,
             "initial": None if self.initial is None else {
-                "kind": self.initial.kind,
-                "n": self.initial.n,
-                "seed": self.initial.seed,
-                "power": self.initial.power,
-                "ratio": str(self.initial.ratio),
-                "start": str(self.initial.start),
-                "step": str(self.initial.step),
+                k: str(v) if isinstance(v, Fraction) else v for k, v in vars(self.initial).items()
             },
         }
 
 
+def normalization_exponents(objective: str) -> tuple[Fraction, Fraction]:
+    """(a, b) with max{|X|, |Y|} >> n^b / (log2 n)^a, from the chain's final ratio.
+
+    The final ratio |X|^x |Y|^y (log|A|)^l / |A|^s is >> 1, so the larger
+    size M has M^(x+y) >> |A|^s / (log|A|)^l: a = l / (x+y), b = s / (x+y).
+    """
+    final = CHAINS[OBJECTIVE_CHAINS[objective]].final
+    log_exp, size_exp = final[("log",)], -final[("size", "A")]
+    grown = sum(final.values()) - log_exp + size_exp
+    return log_exp / grown, size_exp / grown
+
+
 def normalization_constant(objective: str, n: int) -> Fraction:
     """Dyadic approximation of (log2 n)^a / n^b at 100 bits, fixed convention."""
-    log_exp, size_exp = _EXPONENTS[objective]
+    log_exp, size_exp = normalization_exponents(objective)
     log_value, _ = clamped_log2(n)
     num = pow_frac_bounds(log_value, log_exp, _NORM_PREC_BITS)[1]
     den = pow_frac_bounds(Fraction(n), size_exp, _NORM_PREC_BITS)[0]
@@ -137,7 +134,7 @@ def objective_core(objective: str, a: NumberSet, fn: ConvexFn) -> int:
     else:
         fa = apply_fn(fn, a)
         grown = len(count_pairs(fa, fa, "+"))
-    other = len(count_pairs(a, a, "-" if objective in ("T1ratio", "diffProdRatio") else "+"))
+    other = len(count_pairs(a, a, "-" if OBJECTIVE_CHAINS[objective] == "T1" else "+"))
     return max(grown, other)
 
 
@@ -160,11 +157,8 @@ class SearchOutcome:
 
 def _initial_set(cfg: SearchConfig, restart_seed: int) -> NumberSet:
     spec = cfg.initial or FamilySpec(kind="geometric", n=cfg.set_size, ratio=Fraction(2))
-    spec = FamilySpec(kind=spec.kind, n=cfg.set_size, seed=restart_seed,
-                      power=spec.power, ratio=spec.ratio,
-                      start=spec.start if spec.kind != "AP" or spec.start > 0 else Fraction(1),
-                      step=spec.step)
-    a = generate(spec)
+    start = spec.start if spec.kind != "AP" or spec.start > 0 else Fraction(1)
+    a = generate(replace(spec, n=cfg.set_size, seed=restart_seed, start=start))
     if not a.is_strictly_positive():
         raise DomainError("search requires strictly positive initial sets")
     return a
@@ -245,11 +239,6 @@ def extremal_search(cfg: SearchConfig, workers: int = 1, digits: int = 30) -> Se
     set as tie-break.
     """
     results = [_run_restart(cfg, i, digits) for i in range(cfg.restarts)]
-    best_obj, best = None, None
-    for obj, a, _ in results:
-        if best_obj is None or (obj, a.elements) < (best_obj, best.elements):
-            best_obj, best = obj, a
-    traces: list[dict] = []
-    for _, _, t in results:
-        traces.extend(t)
-    return SearchOutcome(config=cfg, best_set=best, best_objective=best_obj, traces=tuple(traces))
+    best_obj, best, _ = min(results, key=lambda r: (r[0], r[1].elements))
+    traces = tuple(t for _, _, trace in results for t in trace)
+    return SearchOutcome(config=cfg, best_set=best, best_objective=best_obj, traces=traces)

@@ -65,6 +65,16 @@ def ap_energy_summation(n: int) -> int:
     return sum((n - abs(s)) ** 2 for s in range(-(n - 1), n))
 
 
+def evaluate_on_graph(fn, t: Fraction) -> Fraction | None:
+    """f(t) on the injective convex branch of a catalog function, or None when no rational point exists there.
+
+    The branch is t >= 0 for square and power, t > 0 for reciprocal and every t
+    for exp2, whose value is irrational off the integers.
+    """
+    on_branch = {"square": t >= 0, "power": t >= 0, "reciprocal": t > 0, "exp2": t.denominator == 1}
+    return fn.apply(t) if on_branch.get(fn.kind, False) else None
+
+
 def naive_incidences(grid, family) -> tuple[int, dict]:
     """Per-point membership loop: for every grid point, count curves through it."""
     per_point: dict[tuple[Fraction, Fraction], int] = {}
@@ -73,7 +83,7 @@ def naive_incidences(grid, family) -> tuple[int, dict]:
         for y in grid.ys:
             hits = 0
             for b, c in family.shifts:
-                v = family.fn.evaluate_on_graph(x - b)
+                v = evaluate_on_graph(family.fn, x - b)
                 if v is not None and v + c == y:
                     hits += 1
             if hits:

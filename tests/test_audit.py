@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given
 
 from conftest import number_sets
+from oracles import naive_difference, naive_sumset
 from convexlab.audit import (
+    CHAINS,
+    DECIDED,
     FAIL,
     PASS,
     REPORT_ONLY,
@@ -256,6 +259,42 @@ class TestChains:
         lines = chain.to_json_lines()
         assert lines[-1]["type"] == "chain"
         assert all(l["type"] == "step" for l in lines[:-1])
+
+
+class TestDerivedFinals:
+    """Each chain's final ratio, derived from its rows, is the paper's bound with every energy cancelled."""
+
+    @pytest.mark.parametrize("which, final", [
+        ("T1", {("size", "f(A)+C"): 6, ("size", "A-A"): 5, ("log",): 2, ("size", "A"): -14}),
+        ("T2", {("size", "f(A)+C"): 10, ("size", "A+A"): 9, ("log",): 2, ("size", "A"): -24}),
+        ("T3", {("size", "A+f(A)"): 19, ("log",): 2, ("size", "A"): -24}),
+    ])
+    def test_final_is_the_papers_monomial(self, which, final):
+        derived = CHAINS[which].final
+        assert derived == final
+        assert {kind for kind, *_ in derived} == {"size", "log"}  # no E, E3, E15 or E(X,Y) left
+
+    def test_decided_rows_carry_their_exponents(self):
+        decided = {which: [(s.name, s.exponent) for s in chain.steps if s.kind == DECIDED]
+                   for which, chain in CHAINS.items()}
+        assert decided == {
+            "T1": [("holder_lower", 2), ("e15_bridge", 2)],
+            "T2": [("cs_sum", 6), ("e15_bridge", 2)],
+            "T3": [("cs_cross_sumset", 6), ("cs_cross_split", 3), ("e15_bridge", 1), ("e15_bridge_image", 1)],
+        }
+
+    def test_final_values_are_the_papers_ratios(self):
+        a = generate(FamilySpec("random-convex", 12, seed=5))
+        fa = [x * x for x in a]
+        n, log = len(a), clamped_log2(len(a))[0]
+        image_sums, diffs, sums = len(naive_sumset(fa, fa)), len(naive_difference(a, a)), len(naive_sumset(a, a))
+        expected = {
+            "T1": Fraction(image_sums ** 6 * diffs ** 5) * log ** 2 / n ** 14,
+            "T2": Fraction(image_sums ** 10 * sums ** 9) * log ** 2 / n ** 24,
+            "T3": Fraction(len(naive_sumset(a, fa)) ** 19) * log ** 2 / n ** 24,
+        }
+        for which, value in expected.items():
+            assert audit_theorem(which, SQUARE, a).final_ratio_exact == value
 
 
 class TestFailureMechanics:

@@ -21,6 +21,7 @@ from convexlab.incidence import (
 )
 from convexlab.sets import NumberSet, sumset
 from oracles import (
+    evaluate_on_graph,
     naive_incidences,
     naive_level_count,
     naive_rep,
@@ -222,7 +223,7 @@ class TestCurvesPairwiseIntersections:
         for x in grid.xs:
             for shift in family.shifts:
                 bb, cc = shift
-                v = fn.evaluate_on_graph(x - bb)
+                v = evaluate_on_graph(fn, x - bb)
                 if v is not None and (v + cc) in grid.ys:
                     points_on[shift].add((x, v + cc))
         for s1, s2 in combinations(family.shifts, 2):

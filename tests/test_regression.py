@@ -15,7 +15,6 @@ from convexlab.corpus import (
     ENR_SIZES,
     chain_fixture_payload,
     enr_fixture_payload,
-    level_corpus_maxima,
     level_fixture_payload,
     load_fixture,
 )
@@ -23,12 +22,9 @@ from convexlab.families import growth_scan
 
 
 def test_level_set_corpus_maxima_do_not_grow():
-    stored = load_fixture("level_set_ratios.json")
-    max1, max2 = level_corpus_maxima()
-    allowed1 = Decimal(stored["maxRatioSt1"]) * Decimal("1.10")
-    allowed2 = Decimal(stored["maxRatioSt2"]) * Decimal("1.10")
-    assert Decimal(max1.numerator) / Decimal(max1.denominator) <= allowed1
-    assert Decimal(max2.numerator) / Decimal(max2.denominator) <= allowed2
+    stored, current = load_fixture("level_set_ratios.json"), level_fixture_payload()
+    for key in ("maxRatioSt1", "maxRatioSt2"):
+        assert Decimal(current[key]) <= Decimal(stored[key]) * Decimal("1.10")
 
 
 def test_enr_corpus_minima_do_not_decrease():

@@ -1,3 +1,4 @@
+import hashlib
 import threading
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from convexlab.search import (
     SearchConfig,
     extremal_search,
     normalization_constant,
+    normalization_exponents,
     objective_core,
     objective_value,
 )
@@ -52,6 +54,33 @@ class TestObjective:
         for name in ("T1ratio", "T2ratio", "diffProdRatio", "sumProdRatio"):
             k = normalization_constant(name, 8)
             assert k > 0
+
+    @pytest.mark.parametrize("name, exponents", [
+        ("T1ratio", (Fraction(2, 11), Fraction(14, 11))),
+        ("diffProdRatio", (Fraction(2, 11), Fraction(14, 11))),
+        ("T2ratio", (Fraction(2, 19), Fraction(24, 19))),
+        ("sumProdRatio", (Fraction(2, 19), Fraction(24, 19))),
+    ])
+    def test_normalization_exponents_from_the_chains(self, name, exponents):
+        assert normalization_exponents(name) == exponents
+
+    # The exact Fractions of the exponent table the chain derivation replaced: the
+    # value at n = 4, and the sha256 of str(value) for n = 4, 8, 24, 100, one per line.
+    T1_AT_4 = "718955974803737463061787321041/3700221663976489900084094703713"
+    T2_AT_4 = "1363599817281870264257589795499/7302917551150547960993974172538"
+    T1_DIGEST = "f81df19aacfb2d36c791c63bc77bee931068aef9904c82a8061a022616ab614a"
+    T2_DIGEST = "d462798bdf42648636b5fc4495839de20f9fed24b8b0d958601d9f5281f66da7"
+
+    @pytest.mark.parametrize("name, at_4, digest", [
+        ("T1ratio", T1_AT_4, T1_DIGEST),
+        ("diffProdRatio", T1_AT_4, T1_DIGEST),
+        ("T2ratio", T2_AT_4, T2_DIGEST),
+        ("sumProdRatio", T2_AT_4, T2_DIGEST),
+    ])
+    def test_normalization_constant_pinned(self, name, at_4, digest):
+        assert normalization_constant(name, 4) == Fraction(at_4)
+        data = "\n".join(str(normalization_constant(name, n)) for n in (4, 8, 24, 100)).encode()
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestSearch:
