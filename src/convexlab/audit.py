@@ -59,8 +59,6 @@ from .sets import NumberSet, PairCounts, pair_counts
 PASS, FAIL, REPORT_ONLY = "PASS", "FAIL", "REPORT_ONLY"
 DECIDED = "PASS/FAIL"
 
-LOG_PREC_BITS = 100  # ~30 digits; log sizes enter as exact dyadic upper bounds
-
 # Step forms.  A row fills in the roles X, Y, S (a combination set) and F.
 HOLDER_FORM = "|X|^6 <= E15(X)^2 |X-X|"
 BRIDGE_FORM = "E15(X)^2 |Y|^2 <= E3(X)^2/3 E3(Y)^1/3 E(X,S)"  # S = X+Y
@@ -336,8 +334,8 @@ def check_cauchy_schwarz(
 
 
 def clamped_log2(n: int) -> tuple[Fraction, bool]:
-    """Dyadic upper bound of log2(n), clamped to 1 so it never vanishes."""
-    value = log2_upper(n, LOG_PREC_BITS)
+    """Dyadic upper bound of log2(n) at log2_upper's precision, clamped to 1 so it never vanishes."""
+    value = log2_upper(n)
     return max(value, Fraction(1)), value < 1
 
 
@@ -426,8 +424,9 @@ def audit_theorem(
     """Replay one theorem's proof chain on concrete sets.
 
     `which` is one of THEOREMS; a corollary label runs its chain with f = log.
-    Constant-free steps are PASS/FAIL (FAIL raises AuditFailure with the
-    inputs); implied-constant steps are REPORT_ONLY ratios.  Returns the
+    C defaults to f(A); a chain whose bound reads no C (T3) refuses one with
+    DomainError.  Constant-free steps are PASS/FAIL (FAIL raises AuditFailure
+    with the inputs); implied-constant steps are REPORT_ONLY ratios.  Returns the
     ordered steps plus the final exponent ratio.
     """
     if which not in THEOREMS:
@@ -439,11 +438,14 @@ def audit_theorem(
     fn.require_audit_domain(a)
     if fn.kind == "log" and c is not None:
         raise DomainError("log-as-product chains only support the default C = f(A)")
+    reads_c = any("C" in quantity[-1] for quantity in chain.final)  # the bound reads C
+    if c is not None and not reads_c:
+        raise DomainError(f"{name} takes no C set: its chain reads only A and f(A)")
     log_factor, clamped = clamped_log2(len(a))
     inputs = {"A": a} if c is None else {"A": a, "C": c}
     q = Quantities(inputs, fn, log_factor)
     flags = ["log|A| clamped to 1"] if clamped else []
-    if fn.kind != "log" and any("C" in quantity[-1] for quantity in chain.final):  # the bound reads C
+    if fn.kind != "log" and reads_c:
         flags += _approx_flags(a, q.set("C"))
     steps = tuple(_raise_on_fail(_evaluate(s, q, tuple(flags), digits), inputs) for s in chain.steps)
     final = _value(q, tuple(chain.final.items()))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from decimal import Decimal
 from functools import cache
 
@@ -22,7 +21,7 @@ from .functions import fn_by_name
 from .incidence import build_instance, count_incidences, lemma_st1_ratio, lemma_st2_ratio
 from .search import SearchConfig, extremal_search
 from .seeding import SEED_RULE
-from .sets import format_scalar, pair_counts, read_set_file, write_set_file
+from .sets import combination_sizes, format_scalar, read_set_file, write_set_file
 from .energy import energy_report
 
 USAGE_ERROR, AUDIT_ERROR = 1, 2
@@ -34,31 +33,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    seed: int
-    precision: int
-    output: str | None
-
-    def header(self, **extra) -> dict:
-        return {
-            "type": "header",
-            "command": self.command,
-            "seed": self.seed,
-            "seedRule": SEED_RULE,
-            "precision": self.precision,
-            **extra,
-        }
+def _header(args, **extra) -> dict:
+    """The report header: command, seed (0 when not given), seed rule, precision and `extra`."""
+    return {"type": "header", "command": args.command, "seed": args.seed or 0,
+            "seedRule": SEED_RULE, "precision": args.precision, **extra}
 
 
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
+def _emit(args, text: str) -> None:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -74,29 +61,18 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default=None)
 
 
-def _run_config(args, command: str) -> RunConfig:
-    seed = 0 if args.seed is None else args.seed
-    return RunConfig(command=command, seed=seed, precision=args.precision, output=args.output)
-
-
 def cmd_stats(args) -> int:
-    cfg = _run_config(args, "stats")
     a = read_set_file(args.input)
     report = energy_report(a)  # its delta_A histogram also gives |A-A|
-    digits = cfg.precision
-    sizes = {
-        "size": len(a),
-        "sumset": len(pair_counts(a, a, "+")),
-        "diffset": len(pair_counts(a, a, "-")),
-        "prodset": len(pair_counts(a, a, "*")) if a.is_strictly_positive() else None,
-    }
+    digits = args.precision
+    sizes = {"size": len(a), **combination_sizes(a)}
     payload = {
-        **cfg.header(input=args.input),
+        **_header(args, input=args.input),
         "sizes": sizes,
         "energy": report.to_json_dict(),
         "E15Decimal": report.e15_decimal(digits),
     }
-    _emit(cfg, _dump(payload) + "\n")
+    _emit(args, _dump(payload) + "\n")
     _note(f"|A| = {sizes['size']}  |A+A| = {sizes['sumset']}  |A-A| = {sizes['diffset']}")
     if sizes["prodset"] is not None:
         _note(f"|A*A| = {sizes['prodset']}")
@@ -132,17 +108,16 @@ def _fixture_breaches(fixtures_path: str, key: str, chain, tolerance: float = 0.
 
 
 def cmd_audit(args) -> int:
-    cfg = _run_config(args, "audit")
     a = read_set_file(args.input)
     c = read_set_file(args.cset) if args.cset else None
     fn = theorem_fn(args.theorem, fn_by_name(args.fn))
-    lines = [cfg.header(input=args.input, theorem=args.theorem, fn=fn.name)]
+    lines = [_header(args, input=args.input, theorem=args.theorem, fn=fn.name)]
     try:
-        chain = audit_theorem(args.theorem, fn, a, c, digits=cfg.precision)
+        chain = audit_theorem(args.theorem, fn, a, c, digits=args.precision)
     except AuditFailure as failure:
         lines.append(failure.report.to_json_dict())
         lines.append({"type": "counterexample", "inputs": failure.inputs})
-        _emit(cfg, "\n".join(_dump(l) for l in lines) + "\n")
+        _emit(args, "\n".join(_dump(l) for l in lines) + "\n")
         _note(f"FAIL: {failure.report.name} (counterexample dumped)")
         return AUDIT_ERROR
     lines.extend(chain.to_json_lines())
@@ -153,7 +128,7 @@ def cmd_audit(args) -> int:
         lines.extend(breaches)
         if breaches:
             status = AUDIT_ERROR
-    _emit(cfg, "\n".join(_dump(l) for l in lines) + "\n")
+    _emit(args, "\n".join(_dump(l) for l in lines) + "\n")
     fails = [s.name for s in chain.steps if s.verdict == "FAIL"]
     _note(f"{chain.theorem}: {len(chain.steps)} steps, final ratio {chain.final_ratio}")
     if status:
@@ -162,7 +137,6 @@ def cmd_audit(args) -> int:
 
 
 def cmd_incidence(args) -> int:
-    cfg = _run_config(args, "incidence")
     fn = fn_by_name(args.fn)
     a = read_set_file(args.input)
     b = read_set_file(args.bset)
@@ -170,52 +144,51 @@ def cmd_incidence(args) -> int:
     taus = tuple(int(t) for t in args.tau.split(",")) if args.tau else (1, 2, 4, 8)
     grid, family = build_instance(fn, a, b, c)
     report = count_incidences(grid, family, taus=taus)
-    payload = {**cfg.header(fn=fn.name), "incidence": report.to_json_dict(cfg.precision)}
+    payload = {**_header(args, fn=fn.name), "incidence": report.to_json_dict(args.precision)}
     levels = []
     for tau in taus:
-        levels.append(lemma_st1_ratio(fn, a, b, c, tau).to_json_dict(cfg.precision))
-        levels.append(lemma_st2_ratio(fn, a, b, c, tau).to_json_dict(cfg.precision))
+        levels.append(lemma_st1_ratio(fn, a, b, c, tau).to_json_dict(args.precision))
+        levels.append(lemma_st2_ratio(fn, a, b, c, tau).to_json_dict(args.precision))
     payload["levelSets"] = levels
-    _emit(cfg, _dump(payload) + "\n")
+    _emit(args, _dump(payload) + "\n")
     _note(f"incidences = {report.incidences} on {report.points} points x {report.curves} curves")
     _note(f"bound holds: {report.st_bound_holds}; max curves through a point: {report.max_point_curves}")
     return 0
 
 
 def cmd_scan(args) -> int:
-    cfg = _run_config(args, "scan")
     fn = fn_by_name(args.fn) if args.fn else None
     sizes = [int(s) for s in args.sizes.split(",")]
-    result = growth_scan(args.kind, fn, sizes, seed=cfg.seed)
-    header = (f"# command scan\n# seed {cfg.seed}\n# seedRule {SEED_RULE}\n"
-              f"# precision {cfg.precision}\n# kind {args.kind}\n# fn {fn.name if fn else ''}\n")
-    _emit(cfg, header + scan_to_tsv(result, cfg.precision))
+    seed = args.seed or 0
+    result = growth_scan(args.kind, fn, sizes, seed=seed)
+    header = (f"# command scan\n# seed {seed}\n# seedRule {SEED_RULE}\n"
+              f"# precision {args.precision}\n# kind {args.kind}\n# fn {fn.name if fn else ''}\n")
+    _emit(args, header + scan_to_tsv(result, args.precision))
     for metric, slope in sorted(result.ls_slopes.items()):
         _note(f"ls slope {metric}: {float(slope):.4f}")
     return 0
 
 
 def cmd_search(args) -> int:
-    cfg = _run_config(args, "search")
     with open(args.config, encoding="utf-8") as fh:
         data = json.load(fh)
     if args.seed is not None:
         data["seed"] = args.seed
-    scfg = SearchConfig.from_json_dict(data)
-    outcome = extremal_search(scfg, digits=cfg.precision)
-    lines = [cfg.header(config=scfg.to_json_dict())]
+    cfg = SearchConfig.from_json_dict(data)
+    outcome = extremal_search(cfg, digits=args.precision)
+    lines = [_header(args, config=cfg.to_json_dict())]
     lines.extend(outcome.traces)
     lines.append({
         "type": "result",
-        "bestObjective": outcome.best_objective_decimal(cfg.precision),
+        "bestObjective": outcome.best_objective_decimal(args.precision),
         "bestSet": [format_scalar(q) for q in outcome.best_set],
     })
-    _emit(cfg, "\n".join(_dump(l) for l in lines) + "\n")
+    _emit(args, "\n".join(_dump(l) for l in lines) + "\n")
     if args.best_set:
         write_set_file(args.best_set, outcome.best_set,
-                       header=f"best set, objective {outcome.best_objective_decimal(cfg.precision)}")
-    _note(f"best objective {outcome.best_objective_decimal(cfg.precision)} "
-          f"after {scfg.iterations} iterations x {scfg.restarts} restarts")
+                       header=f"best set, objective {outcome.best_objective_decimal(args.precision)}")
+    _note(f"best objective {outcome.best_objective_decimal(args.precision)} "
+          f"after {cfg.iterations} iterations x {cfg.restarts} restarts")
     return 0
 
 

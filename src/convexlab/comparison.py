@@ -114,7 +114,7 @@ def log2_bounds(n: int, prec: int) -> tuple[Fraction, Fraction]:
 
 
 def log2_upper(n: int, prec: int = 100) -> Fraction:
-    """Exact dyadic-rational upper bound on log2(n)."""
+    """Exact dyadic-rational upper bound on log2(n); every log convexlab reads uses the default."""
     return log2_bounds(n, prec)[1]
 
 

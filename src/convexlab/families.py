@@ -9,18 +9,16 @@ bounds so the whole fit is rational arithmetic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .comparison import fraction_to_decimal, log2_upper
 from .functions import ConvexFn, apply_fn
 from .seeding import derive_seed
-from .sets import NumberSet, pair_counts
+from .sets import NumberSet, combination_sizes, pair_counts
 
 CONVEX_KINDS = ("squares", "powers", "geometric", "random-convex")
 ALL_KINDS = ("AP",) + CONVEX_KINDS + ("random-uniform",)
-
-LOG_PREC_BITS = 100
 
 
 @dataclass(frozen=True)
@@ -87,19 +85,12 @@ class ScanRow:
 
 @dataclass(frozen=True)
 class ScanResult:
-    kind: str
-    fn_name: str
-    seed: int
     rows: tuple[ScanRow, ...]
     ls_slopes: dict[str, Fraction]
     enr_min_sq: dict[str, Fraction]   # min over rows of (|A+-A| / n^1.5)^2, convex kinds
 
 
 _METRICS = ("sumset", "diffset", "prodset", "a_plus_fa")
-
-
-def _log2(n: int) -> Fraction:
-    return log2_upper(n, LOG_PREC_BITS)
 
 
 def _ls_slope(points: list[tuple[Fraction, Fraction]]) -> Fraction | None:
@@ -113,8 +104,7 @@ def _ls_slope(points: list[tuple[Fraction, Fraction]]) -> Fraction | None:
     return sum((x - xm) * (y - ym) for x, y in points) / den
 
 
-def growth_scan(kind: str, fn: ConvexFn | None, sizes: list[int], seed: int = 0,
-                spec_template: FamilySpec | None = None) -> ScanResult:
+def growth_scan(kind: str, fn: ConvexFn | None, sizes: list[int], seed: int = 0) -> ScanResult:
     """Measure combination-set growth for one family across increasing sizes."""
     if sizes != sorted(sizes) or len(set(sizes)) != len(sizes):
         raise ValueError("sizes must be strictly increasing")
@@ -122,45 +112,23 @@ def growth_scan(kind: str, fn: ConvexFn | None, sizes: list[int], seed: int = 0,
         raise ValueError("scans are desk-scale: sizes up to 4096")
     rows: list[ScanRow] = []
     series: dict[str, list[tuple[Fraction, Fraction]]] = {m: [] for m in _METRICS}
-    enr_min_sq: dict[str, Fraction] = {}
-    prev: dict[str, tuple[Fraction, Fraction]] = {}
-    template = spec_template or FamilySpec(kind=kind, n=1, seed=seed)
     for n in sizes:
-        a = generate(replace(template, kind=kind, n=n, seed=seed))
-        values: dict[str, int | None] = {
-            "sumset": len(pair_counts(a, a, "+")),
-            "diffset": len(pair_counts(a, a, "-")),
-            "prodset": len(pair_counts(a, a, "*")) if a.is_strictly_positive() else None,
-        }
-        if fn is not None:
-            values["a_plus_fa"] = len(pair_counts(a, apply_fn(fn, a), "+"))
-        else:
-            values["a_plus_fa"] = None
-        logn = _log2(n)
-        slopes: dict[str, Fraction | None] = {}
-        for m in _METRICS:
-            v = values[m]
-            if v is None:
-                slopes[m] = None
-                continue
-            logv = _log2(v)
-            series[m].append((logn, logv))
-            if m in prev:
-                px, py = prev[m]
-                slopes[m] = (logv - py) / (logn - px)
-            else:
-                slopes[m] = None
-            prev[m] = (logn, logv)
-        if kind in CONVEX_KINDS:
-            for key, size in (("diff", values["diffset"]), ("sum", values["sumset"])):
-                ratio_sq = Fraction(size * size, n ** 3)
-                if key not in enr_min_sq or ratio_sq < enr_min_sq[key]:
-                    enr_min_sq[key] = ratio_sq
-        rows.append(ScanRow(kind=kind, n=n, sumset=values["sumset"], diffset=values["diffset"],
-                            prodset=values["prodset"], a_plus_fa=values["a_plus_fa"], slopes=slopes))
+        a = generate(FamilySpec(kind=kind, n=n, seed=seed))
+        values = combination_sizes(a)
+        values["a_plus_fa"] = None if fn is None else len(pair_counts(a, apply_fn(fn, a), "+"))
+        logn = log2_upper(n)
+        slopes: dict[str, Fraction | None] = dict.fromkeys(_METRICS)
+        for m, v in values.items():
+            if v is not None:
+                series[m].append((logn, log2_upper(v)))
+                if len(series[m]) > 1:  # the step slope from this metric's previous size
+                    (px, py), (x, y) = series[m][-2:]
+                    slopes[m] = (y - py) / (x - px)
+        rows.append(ScanRow(kind=kind, n=n, **values, slopes=slopes))
     ls = {m: s for m in _METRICS if (s := _ls_slope(series[m])) is not None}
-    return ScanResult(kind=kind, fn_name=fn.name if fn else "", seed=seed,
-                      rows=tuple(rows), ls_slopes=ls, enr_min_sq=enr_min_sq)
+    enr = (("diff", "diffset"), ("sum", "sumset")) if kind in CONVEX_KINDS and rows else ()
+    enr_min_sq = {key: min(Fraction(getattr(r, m) ** 2, r.n ** 3) for r in rows) for key, m in enr}
+    return ScanResult(rows=tuple(rows), ls_slopes=ls, enr_min_sq=enr_min_sq)
 
 
 def scan_to_tsv(result: ScanResult, digits: int = 30) -> str:

@@ -11,7 +11,10 @@ For incidence counting each function exposes a graph branch on which it is
 both strictly convex/concave and injective (square and power use [0, oo),
 reciprocal (0, oo), exp2 all rationals).  Translates of such a branch
 pairwise intersect at most once, which is what the incidence bound needs;
-the full cubic or hyperbola graphs would not satisfy that.
+the full cubic or hyperbola graphs would not satisfy that.  The audits,
+incidence instances and search objectives share one domain rule,
+`require_audit_domain`: A >= 0 for square and power, A > 0 for reciprocal and
+log (|A*A| reads as |log(A) + log(A)| only there), any A for exp2.
 """
 from __future__ import annotations
 
@@ -22,8 +25,6 @@ from fractions import Fraction
 from .errors import DomainError, EmptyInputError, over_budget
 from .sets import NumberSet
 
-EXACT = "exact-on-rationals"
-PRODUCT_EQUIVALENT = "product-set-equivalent"
 POWER_BUDGET = 64  # largest k in power:k
 EXP2_BUDGET = 1 << 14  # largest |x| in exp2(x): 2**x has at most 16 Ki bits
 
@@ -39,8 +40,6 @@ def _exp2_exponent(e: int) -> int:
 class ConvexFn:
     kind: str               # "square" | "power" | "reciprocal" | "exp2" | "log"
     k: int = 2              # exponent, only meaningful for kind == "power"
-    exactness: str = EXACT
-    shape: str = "convex"   # "convex" | "concave" on the declared domain
 
     def __post_init__(self):
         if self.k > POWER_BUDGET:
@@ -100,26 +99,18 @@ class ConvexFn:
             raise DomainError("log is never evaluated numerically; route through product_set")
         return f
 
-    def audit_domain_ok(self, a: NumberSet) -> bool:
-        """Whether a set is usable in audit/incidence pipelines for this function."""
-        if self.kind in ("square", "power"):
-            return a.is_nonnegative()
-        if self.kind in ("reciprocal", "log"):
-            return a.is_strictly_positive()
-        return True
-
     def require_audit_domain(self, a: NumberSet) -> None:
-        if not self.audit_domain_ok(a):
-            raise DomainError(f"{self.name} pipelines require {self._domain_words()} elements")
-
-    def _domain_words(self) -> str:
-        return "strictly positive" if self.kind in ("reciprocal", "log") else "nonnegative"
+        """DomainError unless `a` lies in the audit, incidence and search domain of this function."""
+        if self.kind in ("reciprocal", "log") and not a.is_strictly_positive():
+            raise DomainError(f"{self.name} pipelines require strictly positive elements")
+        if self.kind in ("square", "power") and not a.is_nonnegative():
+            raise DomainError(f"{self.name} pipelines require nonnegative elements")
 
 
 SQUARE = ConvexFn("square")
 RECIPROCAL = ConvexFn("reciprocal")
 EXP2 = ConvexFn("exp2")
-LOG = ConvexFn("log", exactness=PRODUCT_EQUIVALENT, shape="concave")
+LOG = ConvexFn("log")
 
 
 def power_fn(k: int) -> ConvexFn:

@@ -3,10 +3,10 @@
 An instance is a grid P = (A+B) x (f(A)+C) and the curve family
 L = { graph(f) + (b, c) : (b, c) in B x C }.  Each curve is the injective
 convex branch of a catalog function, so any two curves intersect at most
-once and the incidence count obeys  I <= 4(PL)^(2/3) + 4P + L,  checked
-exactly (cube the rearranged inequality).  Counting runs on the integer
-lattice Z/D of x, y, b and c: curves are grouped by b, f(x - b) is computed
-once per (b, x) in A+B, and each c is one hash lookup of y.
+once and the incidence count obeys  I <= 4(PL)^(2/3) + 4P + L,  decided
+exactly on integers (cube the rearranged inequality).  Counting runs on the
+integer lattice Z/D of x, y, b and c: curves are grouped by b, f(x - b) is
+computed once per (b, x) in A+B, and each c is one hash lookup of y.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from decimal import ROUND_CEILING
 from fractions import Fraction
 from math import lcm
 
-from .comparison import compare_radical, decimal_of, fraction_to_decimal, power_product, root_bounds
+from .comparison import decimal_of, fraction_to_decimal, root_bounds
 from .errors import EmptyInputError
 from .functions import ConvexFn, apply_fn
 from .sets import NumberSet, pair_counts, sumset
@@ -120,17 +120,13 @@ def count_incidences(
 
 
 def st_bound_check(incidences: int, points: int, curves: int) -> bool:
-    """Exact verdict of  I <= 4(PL)^(2/3) + 4P + L.
+    """Exact verdict of  I <= 4(PL)^(2/3) + 4P + L  on integers.
 
     Rearranged so the only irrational term stands alone, then cubed:
-    I - 4P - L <= 0, or (I - 4P - L)^3 <= 64 (PL)^2, decided by compare_radical.
+    I - 4P - L <= 0, or (I - 4P - L)^3 <= 64 (PL)^2.
     """
     excess = incidences - 4 * points - curves
-    if excess <= 0:
-        return True
-    lhs = power_product((excess, 3))
-    rhs = power_product((64, 1), (points * curves, 2))
-    return compare_radical(lhs, rhs) <= 0
+    return excess <= 0 or excess ** 3 <= 64 * (points * curves) ** 2
 
 
 def st_bound_decimal(points: int, curves: int, digits: int = 30) -> str:

@@ -24,7 +24,7 @@ from .comparison import fraction_to_decimal, pow_frac_bounds
 from .audit import CHAINS, clamped_log2
 from .errors import DomainError
 from .families import FamilySpec, generate
-from .functions import ConvexFn, apply_fn, fn_by_name
+from .functions import LOG, ConvexFn, apply_fn, fn_by_name
 from .seeding import derive_seed
 from .sets import NumberSet, count_pairs
 
@@ -128,8 +128,7 @@ def objective_core(objective: str, a: NumberSet, fn: ConvexFn) -> int:
     on it: `current` and `best` would hold them for the rest of the run.
     """
     if objective in ("diffProdRatio", "sumProdRatio"):
-        if not a.is_strictly_positive():
-            raise DomainError("log-equivalent product set requires strictly positive elements")
+        LOG.require_audit_domain(a)
         grown = len(count_pairs(a, a, "*"))
     else:
         fa = apply_fn(fn, a)
@@ -230,13 +229,12 @@ def _run_restart(cfg: SearchConfig, restart: int, digits: int) -> tuple[Fraction
     return best_obj, best, trace
 
 
-def extremal_search(cfg: SearchConfig, workers: int = 1, digits: int = 30) -> SearchOutcome:
-    """Run all restarts serially and merge deterministically.
+def extremal_search(cfg: SearchConfig, digits: int = 30) -> SearchOutcome:
+    """Run all restarts serially, in one thread, and merge deterministically.
 
-    `workers` is accepted and ignored: threads were slower than serial here,
-    and restarts are independently seeded, so the outcome never depends on it.
-    The merge takes the best objective with the lexicographically smallest
-    set as tie-break.
+    Restarts are independently seeded, so their order never changes the
+    outcome.  The merge takes the best objective with the lexicographically
+    smallest set as tie-break.
     """
     results = [_run_restart(cfg, i, digits) for i in range(cfg.restarts)]
     best_obj, best, _ = min(results, key=lambda r: (r[0], r[1].elements))

@@ -40,7 +40,7 @@ from math import gcd, lcm
 from operator import add, mul, sub
 from weakref import ref
 
-from .errors import DomainError, EmptyInputError, ParseError, over_budget
+from .errors import EmptyInputError, ParseError, over_budget
 
 Scalar = Fraction
 
@@ -329,16 +329,18 @@ def difference_set(a: NumberSet, b: NumberSet) -> NumberSet:
     return pair_counts(a, b, "-").to_set()
 
 
-def product_set(a: NumberSet, b: NumberSet, *, log_equivalence: bool = False) -> NumberSet:
-    """{x * y : x in A, y in B}.
-
-    With log_equivalence=True the caller declares the |A*A| = |log(A)+log(A)|
-    reading, which is only valid for strictly positive sets; nonpositive
-    elements then raise DomainError.
-    """
-    if log_equivalence and not (a.is_strictly_positive() and b.is_strictly_positive()):
-        raise DomainError("log-equivalent product set requires strictly positive elements")
+def product_set(a: NumberSet, b: NumberSet) -> NumberSet:
+    """{x * y : x in A, y in B}."""
     return pair_counts(a, b, "*").to_set()
+
+
+def combination_sizes(a: NumberSet) -> dict[str, int | None]:
+    """|A+A|, |A-A| and |A*A| keyed sumset, diffset, prodset; prodset is None unless A > 0."""
+    return {
+        "sumset": len(pair_counts(a, a, "+")),
+        "diffset": len(pair_counts(a, a, "-")),
+        "prodset": len(pair_counts(a, a, "*")) if a.is_strictly_positive() else None,
+    }
 
 
 def parse_set_text(text: str, source: str = "<string>") -> NumberSet:

