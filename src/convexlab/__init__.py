@@ -11,7 +11,6 @@ from .radicals import RadicalSum
 from .comparison import compare_radical, power_product
 from .energy import (
     EnergyReport,
-    RepFunction,
     dyadic_profile,
     energy,
     energy_report,

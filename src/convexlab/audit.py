@@ -304,19 +304,17 @@ def _evaluate(row: Step, q: Quantities, flags: tuple[str, ...] = (), digits: int
     )
 
 
-def check_lemma_e15(a: NumberSet, b: NumberSet, digits: int = 30) -> AuditReport:
+def check_lemma_e15(a: NumberSet, b: NumberSet) -> AuditReport:
     """E_1.5(A)^2 |B|^2 <= E_3(A)^(2/3) E_3(B)^(1/3) E(A, A+B), decided exactly."""
-    return _evaluate(LEMMA_E15, Quantities({"A": a, "B": b}), digits=digits)
+    return _evaluate(LEMMA_E15, Quantities({"A": a, "B": b}))
 
 
-def check_holder(a: NumberSet, digits: int = 30) -> AuditReport:
+def check_holder(a: NumberSet) -> AuditReport:
     """|A|^6 <= E_1.5(A)^2 |A-A|, decided exactly on radical sums."""
-    return _evaluate(HOLDER, Quantities({"A": a}), digits=digits)
+    return _evaluate(HOLDER, Quantities({"A": a}))
 
 
-def check_cauchy_schwarz(
-    a: NumberSet, mode: str, f: NumberSet | None = None, digits: int = 30
-) -> tuple[AuditReport, ...]:
+def check_cauchy_schwarz(a: NumberSet, mode: str, f: NumberSet | None = None) -> tuple[AuditReport, ...]:
     """Cauchy-Schwarz energy bounds, all pure-integer verdicts.
 
     mode "sum":   |A|^4 <= E(A,A) |A+A|
@@ -330,7 +328,7 @@ def check_cauchy_schwarz(
     if mode == "cross" and (f is None or len(f) == 0):
         raise EmptyInputError("cross mode needs the second set")
     q = Quantities({"A": a, "F": f})
-    return tuple(_evaluate(s, q, digits=digits) for s in CAUCHY_SCHWARZ[mode])
+    return tuple(_evaluate(s, q) for s in CAUCHY_SCHWARZ[mode])
 
 
 def clamped_log2(n: int) -> tuple[Fraction, bool]:
@@ -350,9 +348,7 @@ def _approx_flags(a: NumberSet, c: NumberSet, f: NumberSet | None = None) -> lis
     return flags
 
 
-def corollary_e3a_ratios(
-    fn: ConvexFn, a: NumberSet, c: NumberSet, f: NumberSet, digits: int = 30
-) -> list[AuditReport]:
+def corollary_e3a_ratios(fn: ConvexFn, a: NumberSet, c: NumberSet, f: NumberSet) -> list[AuditReport]:
     """Six REPORT_ONLY entries: self/cross/third energy caps for A and for f(A).
 
     The ground caps compare against |f(A)+C|, the image caps against |A+C|.
@@ -365,7 +361,7 @@ def corollary_e3a_ratios(
     log_factor, clamped = clamped_log2(len(a))
     flags = tuple(_approx_flags(a, c, f) + (["log|A| clamped to 1"] if clamped else []))
     q = Quantities({"A": a, "C": c, "F": f}, fn, log_factor)
-    return [_evaluate(s, q, flags, digits) for s in COROLLARY_CAPS]
+    return [_evaluate(s, q, flags) for s in COROLLARY_CAPS]
 
 
 @dataclass(frozen=True)
@@ -392,13 +388,13 @@ class ChainReport:
         return lines
 
 
-def chain_consistency_bounds(chain: ChainReport, prec: int = LADDER[0]) -> tuple[Fraction, Fraction]:
-    """Interval enclosure of final_ratio * prod(step_ratio^e); always >= 1 exactly."""
+def chain_consistency_bounds(chain: ChainReport) -> tuple[Fraction, Fraction]:
+    """Interval enclosure at 128 bits of final_ratio * prod(step_ratio^e); always >= 1 exactly."""
     rows = CHAINS[COROLLARIES.get(chain.theorem, chain.theorem)].steps
     lo = hi = chain.final_ratio_exact
     for report, row in zip(chain.steps, rows):
         if row.kind == REPORT_ONLY:
-            slo, shi = report.ratio_bounds(prec)
+            slo, shi = report.ratio_bounds(LADDER[0])
             lo, hi = lo * slo ** row.exponent, hi * shi ** row.exponent
     return lo, hi
 

@@ -5,10 +5,11 @@ rationals, and RadicalSum values raised to rational exponents.  Verdicts are
 produced by interval arithmetic over exact dyadic rationals: square/cube/n-th
 roots come from integer n-th roots of scaled integers (floor for the lower
 endpoint, +1 ulp for the upper), so every bound is rigorous.  Precision
-starts at 128 bits and doubles to 4096; if the intervals never separate, an
-exact fallback clears denominators, raises both sides to the least common
-exponent multiple, and compares canonical integer-coefficient radical sums
-structurally, which decides equality.
+starts at 128 bits and doubles.  If the intervals have not separated at 4096
+bits, an exact check raises both sides to the least common exponent
+multiple, clears denominators, and compares canonical integer-coefficient
+radical sums structurally, which decides equality; unequal values separate
+at some higher precision, so a comparison never gives up.
 """
 from __future__ import annotations
 
@@ -17,11 +18,9 @@ from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .errors import ComparisonUndecided
 from .radicals import RadicalSum
 
 LADDER = (128, 256, 512, 1024, 2048, 4096)
-EXTENDED_LADDER = (8192, 16384, 32768, 65536)
 
 LT, EQ, GT = -1, 0, 1
 
@@ -113,9 +112,9 @@ def log2_bounds(n: int, prec: int) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def log2_upper(n: int, prec: int = 100) -> Fraction:
-    """Exact dyadic-rational upper bound on log2(n); every log convexlab reads uses the default."""
-    return log2_bounds(n, prec)[1]
+def log2_upper(n: int) -> Fraction:
+    """Exact dyadic-rational upper bound on log2(n) at 100 bits: every log convexlab reads."""
+    return log2_bounds(n, 100)[1]
 
 
 @dataclass(frozen=True)
@@ -202,67 +201,52 @@ def value_bounds(v, prec: int) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def _cleared_radical_pair(px: PowerProduct, py: PowerProduct):
-    """Raise both sides to the least common exponent multiple and clear rational
-    denominators, yielding two integer-coefficient RadicalSums, or None when a
-    RadicalSum base carries a negative exponent (outside the fallback's scope)."""
-    denoms = [e.denominator for _, e in px.factors] + [e.denominator for _, e in py.factors]
-    power = lcm(*denoms) if denoms else 1
+def _cleared_radical_pair(px: PowerProduct, py: PowerProduct) -> tuple[RadicalSum, RadicalSum]:
+    """Two integer-coefficient RadicalSums that are equal exactly when x == y.
 
-    def side(pp: PowerProduct):
-        coeff = Fraction(1)
-        rad = RadicalSum.from_int(1)
+    Both sides are raised to the least common exponent multiple, a radical
+    factor with a negative exponent moves to the other side with its exponent
+    negated, and the rational denominators are cleared.
+    """
+    power = lcm(*(e.denominator for _, e in px.factors + py.factors))
+    coeffs, rads = [Fraction(1), Fraction(1)], [RadicalSum.from_int(1), RadicalSum.from_int(1)]
+    for side, pp in enumerate((px, py)):
         for base, e in pp.factors:
-            ee = e * power
-            assert ee.denominator == 1
-            ee = ee.numerator
+            ee = int(e * power)
             if isinstance(base, RadicalSum):
-                if ee < 0:
-                    return None
-                rad = rad * base ** ee
+                to = side ^ (ee < 0)  # a negative power moves across
+                rads[to] = rads[to] * base ** abs(ee)
             else:
-                coeff *= base ** ee
-        return coeff, rad
-
-    sx, sy = side(px), side(py)
-    if sx is None or sy is None:
-        return None
-    (cx, rx), (cy, ry) = sx, sy
-    scale = cx.denominator * cy.denominator
-    return rx * (cx * scale).numerator, ry * (cy * scale).numerator
+                coeffs[side] *= base ** ee
+    scale = coeffs[0].denominator * coeffs[1].denominator
+    return rads[0] * (coeffs[0] * scale).numerator, rads[1] * (coeffs[1] * scale).numerator
 
 
 def compare_radical(x, y) -> int:
     """Strict three-way comparison of two nonnegative radical/power expressions.
 
-    Returns -1, 0, or 1.  Interval precision escalates 128 -> 4096 bits; the
-    exact fallback then decides equality structurally.  ComparisonUndecided is
-    raised only if everything fails, which no catalog input triggers.
+    Returns -1, 0, or 1.  Exact rationals compare directly.  Otherwise the
+    intervals start at 128 bits and double until they separate; at 4096 bits
+    the cleared radical sums are checked once for structural equality, and
+    unequal values always separate at some precision.
     """
     px, py = _normalize(x), _normalize(y)
     ex, ey = exact_fraction(px), exact_fraction(py)
     if ex is not None and ey is not None:
         return (ex > ey) - (ex < ey)
-    for prec in LADDER:
+    prec = LADDER[0]
+    while True:
         xlo, xhi = value_bounds(px, prec)
         ylo, yhi = value_bounds(py, prec)
         if xhi < ylo:
             return LT
         if yhi < xlo:
             return GT
-    pair = _cleared_radical_pair(px, py)
-    if pair is not None:
-        rx, ry = pair
-        if rx == ry:
-            return EQ
-        for prec in EXTENDED_LADDER:
-            xlo, xhi = rx.bounds(prec)
-            ylo, yhi = ry.bounds(prec)
-            if xhi < ylo:
-                return LT
-            if yhi < xlo:
-                return GT
-    raise ComparisonUndecided(f"could not separate {x!r} and {y!r}")
+        if prec == LADDER[-1]:
+            rx, ry = _cleared_radical_pair(px, py)
+            if rx == ry:
+                return EQ
+        prec *= 2
 
 
 def fraction_to_decimal(q: Fraction, digits: int = 30, rounding: str = ROUND_HALF_EVEN) -> str:

@@ -5,9 +5,10 @@ a + b == s.  Both are the pair-kernel histogram of - and + on the (ints,
 denom) lattice (see `sets`).  A histogram of A with itself is kept on A, so
 |A-A| and all moments of A share one count.  One of two different sets is
 counted unkept: its reader, the audit memo, keeps only the integer E(A, B).
-The moments read only the spectrum (multiplicity m -> how many s carry it),
-so they are exact integers, and the 1.5-moment is the exact RadicalSum
-sum_s delta(s) * sqrt(delta(s)).  Fractions are made only for
+Every multiplicity statistic reads the spectrum (multiplicity m -> how many
+s carry it): the moments, the largest multiplicity, the level-set sizes and
+the dyadic profile.  So they are exact integers, the 1.5-moment is the exact
+RadicalSum sum_s delta(s) * sqrt(delta(s)), and Fractions are made only for
 `rep_function`'s map.
 """
 from __future__ import annotations
@@ -25,38 +26,16 @@ SUM = "sum"
 OPS = {DIFFERENCE: "-", SUM: "+"}
 
 
-@dataclass(frozen=True)
-class RepFunction:
-    """Multiplicity map of a difference or sum set."""
-
-    mode: str
-    support: dict[Fraction, int]
-    size_a: int
-    size_b: int
-
-    @property
-    def total_pairs(self) -> int:
-        return self.size_a * self.size_b
-
-    @property
-    def max_multiplicity(self) -> int:
-        return max(self.support.values())
-
-    def __len__(self) -> int:
-        return len(self.support)
-
-
 def _scaled_counter(a: NumberSet, b: NumberSet, mode: str) -> PairCounts:
     if mode not in OPS:
         raise ValueError(f"mode must be {DIFFERENCE!r} or {SUM!r}")
     return (pair_counts if a is b else count_pairs)(a, b, OPS[mode])
 
 
-def rep_function(a: NumberSet, b: NumberSet, mode: str = DIFFERENCE) -> RepFunction:
-    """Exact multiplicity map; its support equals the difference/sum set."""
+def rep_function(a: NumberSet, b: NumberSet, mode: str = DIFFERENCE) -> dict[Fraction, int]:
+    """Exact multiplicity map {s: r(s)}; its keys are the difference/sum set."""
     counts = _scaled_counter(a, b, mode)
-    support = {Fraction(v, counts.denom): c for v, c in counts.items()}
-    return RepFunction(mode=mode, support=support, size_a=len(a), size_b=len(b))
+    return {Fraction(v, counts.denom): c for v, c in counts.items()}
 
 
 def energy(a: NumberSet, b: NumberSet, via: str = DIFFERENCE) -> int:
@@ -85,21 +64,20 @@ def energy_threehalves(a: NumberSet) -> RadicalSum:
     return energy_report(a).E15
 
 
-def level_set_count(rep: RepFunction, tau: int) -> int:
-    """Number of support elements with multiplicity >= tau (tau >= 1)."""
+def level_set_count(times: dict[int, int], tau: int) -> int:
+    """|{s : r(s) >= tau}| (tau >= 1) from the spectrum `times` of r: multiplicity -> count."""
     if tau < 1:
         raise ValueError("tau must be >= 1")
-    return sum(1 for c in rep.support.values() if c >= tau)
+    return sum(t for m, t in times.items() if m >= tau)
 
 
-def dyadic_profile(rep: RepFunction) -> list[tuple[int, int, int]]:
-    """Per-band (2**j, point count, multiplicity mass); bands are [2**j, 2**(j+1))."""
+def dyadic_profile(times: dict[int, int]) -> list[tuple[int, int, int]]:
+    """Per-band (2**j, point count, multiplicity mass) of a spectrum; bands are [2**j, 2**(j+1))."""
     bands: dict[int, list[int]] = {}
-    for c in rep.support.values():
-        j = c.bit_length() - 1
-        slot = bands.setdefault(j, [0, 0])
-        slot[0] += 1
-        slot[1] += c
+    for m, t in times.items():
+        slot = bands.setdefault(m.bit_length() - 1, [0, 0])
+        slot[0] += t
+        slot[1] += m * t
     return [(1 << j, bands[j][0], bands[j][1]) for j in sorted(bands)]
 
 

@@ -33,10 +33,6 @@ class ParseError(ConvexLabError):
         super().__init__(message)
 
 
-class ComparisonUndecided(ConvexLabError):
-    """compare_radical exhausted its precision ladder and the exact fallback."""
-
-
 class AuditFailure(ConvexLabError):
     """A constant-free inequality check returned FAIL.
 

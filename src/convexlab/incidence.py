@@ -6,7 +6,9 @@ convex branch of a catalog function, so any two curves intersect at most
 once and the incidence count obeys  I <= 4(PL)^(2/3) + 4P + L,  decided
 exactly on integers (cube the rearranged inequality).  Counting runs on the
 integer lattice Z/D of x, y, b and c: curves are grouped by b, f(x - b) is
-computed once per (b, x) in A+B, and each c is one hash lookup of y.
+computed once per (b, x) in A+B, and each c is one hash lookup of y.  The
+counts read spectra (multiplicity -> how many points or sums carry it); rich
+points and the level-set lemmas share the rule `energy.level_set_count`.
 """
 from __future__ import annotations
 
@@ -17,11 +19,13 @@ from fractions import Fraction
 from math import lcm
 
 from .comparison import decimal_of, fraction_to_decimal, root_bounds
+from .energy import level_set_count
 from .errors import EmptyInputError
 from .functions import ConvexFn, apply_fn
 from .sets import NumberSet, pair_counts, sumset
 
 Counters = dict[tuple[int, int], int]
+TAUS = (1, 2, 4, 8)  # the default richness thresholds
 
 
 @dataclass(frozen=True)
@@ -101,20 +105,18 @@ def incidence_hits(grid: PointGrid, family: CurveFamily) -> Counters:
 def count_incidences(
     grid: PointGrid,
     family: CurveFamily,
-    taus: tuple[int, ...] = (1, 2, 4, 8),
+    taus: tuple[int, ...] = TAUS,
 ) -> IncidenceReport:
-    """Exact incidence count, rich-point histogram, and the incidence-bound verdict."""
-    hits = incidence_hits(grid, family)
-    incidences = sum(hits.values())
-    max_point = max(hits.values(), default=0)
-    rich = {t: sum(1 for v in hits.values() if v >= t) for t in taus}
+    """Exact incidence count, rich-point histogram and the incidence-bound verdict, from one hit-map spectrum."""
+    times = Counter(incidence_hits(grid, family).values())
+    incidences = sum(m * t for m, t in times.items())
     p, l = len(grid), len(family)
     return IncidenceReport(
         incidences=incidences,
         points=p,
         curves=l,
-        rich_points=rich,
-        max_point_curves=max_point,
+        rich_points={tau: level_set_count(times, tau) for tau in taus},
+        max_point_curves=max(times, default=0),
         st_bound_holds=st_bound_check(incidences, p, l),
     )
 
@@ -170,14 +172,12 @@ def _level_ratio(
     name: str, fn: ConvexFn, a: NumberSet, b: NumberSet, c: NumberSet, tau: int, sigma_of_image: bool
 ) -> LevelSetReport:
     """Level sets of one sigma against the other side's sumset: the body of both lemmas."""
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
     fn.require_audit_domain(a)
     fa = apply_fn(fn, a)
     # st1 counts sigma(f(A), C) against |A+B|, st2 counts sigma(A, B) against |f(A)+C|;
     # both sigmas are the sumset histograms, kept on A and f(A) across taus and lemmas
     (x, y), (u, v) = ((fa, c), (a, b)) if sigma_of_image else ((a, b), (fa, c))
-    lhs = sum(t for m, t in pair_counts(x, y, "+").spectrum.items() if m >= tau)
+    lhs = level_set_count(pair_counts(x, y, "+").spectrum, tau)
     rhs = Fraction(len(pair_counts(u, v, "+")) ** 2 * len(y) ** 2, len(v) * tau ** 3)
     ok, flags = _hypothesis_flags(a, b, c)
     return LevelSetReport(name, tau, lhs, rhs, Fraction(lhs) / rhs, ok, flags)

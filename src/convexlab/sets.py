@@ -174,7 +174,8 @@ class PairCounts:
 
     `values` and `counts` are views of one dict, or numpy arrays on the numpy
     paths; on the residue path `values` is built from one pair per value when read.
-    `spectrum` maps each multiplicity to the number of values carrying it.
+    `spectrum` maps each multiplicity to the number of values carrying it, so
+    the number of values, the size of the combination set, is its total.
     """
 
     values: Collection[int]
@@ -183,7 +184,7 @@ class PairCounts:
     spectrum: dict[int, int]
 
     def __len__(self) -> int:
-        return len(self.values)
+        return sum(self.spectrum.values())
 
     def items(self):
         """(value, count) pairs as Python ints."""
@@ -304,10 +305,7 @@ class _Representatives:
     """The values of a residue count, x op y of one pair per value, built on first read."""
 
     def __init__(self, ia, ib, op: str, pairs):
-        self._source, self._list, self._len = (ia, ib, op, pairs), None, len(pairs)
-
-    def __len__(self) -> int:
-        return self._len
+        self._source, self._list = (ia, ib, op, pairs), None
 
     def tolist(self) -> list[int]:
         if self._list is None:

@@ -69,6 +69,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("command, flag", [
         ("stats", "--workers"), ("audit", "--workers"), ("scan", "--workers"),
+        ("stats", "--seed"), ("audit", "--seed"), ("incidence", "--seed"),
         ("stats", "--fixtures"), ("incidence", "--fixtures"), ("scan", "--fixtures"), ("search", "--fixtures"),
     ])
     def test_flag_only_where_used(self, command, flag, set_file, tmp_path, capsys):

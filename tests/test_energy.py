@@ -20,7 +20,7 @@ from convexlab.energy import (
 )
 from convexlab.errors import EmptyInputError
 from convexlab.radicals import RadicalSum
-from convexlab.sets import NumberSet, difference_set, sumset
+from convexlab.sets import NumberSet, difference_set, pair_counts, sumset
 from oracles import (
     ap_energy_closed_form,
     ap_energy_summation,
@@ -41,18 +41,18 @@ AP_013 = nset(0, 1, 3)
 class TestRepFunction:
     def test_difference_table(self):
         r = rep_function(AP_013, AP_013, DIFFERENCE)
-        assert r.support[Fraction(0)] == 3
+        assert r[Fraction(0)] == 3
         for s in (1, -1, 2, -2, 3, -3):
-            assert r.support[Fraction(s)] == 1
+            assert r[Fraction(s)] == 1
         assert len(r) == 7
 
     def test_sum_table(self):
         r = rep_function(nset(0, 1), nset(0, 1), SUM)
-        assert r.support == {Fraction(0): 1, Fraction(1): 2, Fraction(2): 1}
+        assert r == {Fraction(0): 1, Fraction(1): 2, Fraction(2): 1}
 
     def test_singletons(self):
-        assert rep_function(nset(5), nset(5), SUM).support == {Fraction(10): 1}
-        assert rep_function(nset(5), nset(5), DIFFERENCE).support == {Fraction(0): 1}
+        assert rep_function(nset(5), nset(5), SUM) == {Fraction(10): 1}
+        assert rep_function(nset(5), nset(5), DIFFERENCE) == {Fraction(0): 1}
 
     def test_empty_error(self):
         with pytest.raises(EmptyInputError):
@@ -62,21 +62,21 @@ class TestRepFunction:
     def test_matches_oracle_and_bookkeeping(self, a, b):
         for mode in (DIFFERENCE, SUM):
             r = rep_function(a, b, mode)
-            assert r.support == dict(naive_rep(a, b, mode))
-            assert sum(r.support.values()) == len(a) * len(b) == r.total_pairs
-            assert r.max_multiplicity <= min(len(a), len(b))
+            assert r == dict(naive_rep(a, b, mode))
+            assert sum(r.values()) == len(a) * len(b)
+            assert max(r.values()) <= min(len(a), len(b))
 
     @given(number_sets(max_size=10))
     def test_diagonal_symmetry(self, a):
         r = rep_function(a, a, DIFFERENCE)
-        assert r.support[Fraction(0)] == len(a)
-        for s, c in r.support.items():
-            assert r.support[-s] == c
+        assert r[Fraction(0)] == len(a)
+        for s, c in r.items():
+            assert r[-s] == c
 
     def test_support_equals_combination_set(self):
         a, b = nset(0, 1, 3), nset(Fraction(1, 2), 5)
-        assert set(rep_function(a, b, DIFFERENCE).support) == set(difference_set(a, b))
-        assert set(rep_function(a, b, SUM).support) == set(sumset(a, b))
+        assert set(rep_function(a, b, DIFFERENCE)) == set(difference_set(a, b))
+        assert set(rep_function(a, b, SUM)) == set(sumset(a, b))
 
 
 class TestEnergies:
@@ -132,42 +132,40 @@ class TestEnergies:
 
 class TestLevelSets:
     def test_examples(self):
-        r = rep_function(AP_013, AP_013)
-        assert level_set_count(r, 3) == 1
-        assert level_set_count(r, 1) == len(r)
-        assert level_set_count(r, 4) == 0
+        times = pair_counts(AP_013, AP_013, "-").spectrum
+        assert level_set_count(times, 3) == 1
+        assert level_set_count(times, 1) == len(difference_set(AP_013, AP_013))
+        assert level_set_count(times, 4) == 0
 
     def test_tau_validation(self):
-        r = rep_function(AP_013, AP_013)
         with pytest.raises(ValueError):
-            level_set_count(r, 0)
+            level_set_count(pair_counts(AP_013, AP_013, "-").spectrum, 0)
 
     @given(number_sets(max_size=10), number_sets(max_size=10), st.integers(1, 12))
     def test_matches_oracle_and_monotone(self, a, b, tau):
-        r = rep_function(a, b, SUM)
+        times = pair_counts(a, b, "+").spectrum
         naive = naive_rep(a, b, "sum")
-        assert level_set_count(r, tau) == naive_level_count(naive, tau)
-        assert level_set_count(r, tau) >= level_set_count(r, tau + 1)
-        assert level_set_count(r, min(len(a), len(b)) + 1) == 0
+        assert level_set_count(times, tau) == naive_level_count(naive, tau)
+        assert level_set_count(times, tau) >= level_set_count(times, tau + 1)
+        assert level_set_count(times, min(len(a), len(b)) + 1) == 0
 
 
 class TestDyadicProfile:
     def test_spec_example(self):
-        assert dyadic_profile(rep_function(AP_013, AP_013)) == [(1, 6, 6), (2, 1, 3)]
+        assert dyadic_profile(pair_counts(AP_013, AP_013, "-").spectrum) == [(1, 6, 6), (2, 1, 3)]
 
     def test_uniform_multiplicity(self):
-        r = rep_function(nset(0, 1), nset(0, 10))
-        assert dyadic_profile(r) == [(1, 4, 4)]
+        times = pair_counts(nset(0, 1), nset(0, 10), "-").spectrum
+        assert dyadic_profile(times) == [(1, 4, 4)]
 
     def test_singleton(self):
-        assert dyadic_profile(rep_function(nset(3), nset(3))) == [(1, 1, 1)]
+        assert dyadic_profile(pair_counts(nset(3), nset(3), "-").spectrum) == [(1, 1, 1)]
 
     @given(number_sets(max_size=12))
     def test_partitions_support(self, a):
-        r = rep_function(a, a)
-        profile = dyadic_profile(r)
-        assert sum(count for _, count, _ in profile) == len(r)
-        assert sum(mass for _, _, mass in profile) == r.total_pairs
+        profile = dyadic_profile(pair_counts(a, a, "-").spectrum)
+        assert sum(count for _, count, _ in profile) == len(naive_rep(a, a, "difference"))
+        assert sum(mass for _, _, mass in profile) == len(a) ** 2
         for band, count, mass in profile:
             assert band <= mass < 2 * band * count + band
 

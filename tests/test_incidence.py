@@ -81,6 +81,11 @@ class TestCountIncidences:
         report = count_incidences(grid, family, taus=(5,))
         assert report.rich_points[5] == 0
 
+    def test_tau_validation(self):
+        grid, family = build_instance(SQUARE, nset(0, 1, 2), nset(0), nset(0))
+        with pytest.raises(ValueError, match="tau must be >= 1"):
+            count_incidences(grid, family, taus=(0,))
+
     @pytest.mark.parametrize("fn", [SQUARE, RECIPROCAL, power_fn(3), power_fn(4)])
     def test_matches_naive_oracle(self, fn):
         rng = random.Random(hash(fn.name) & 0xFFFF)
@@ -89,10 +94,11 @@ class TestCountIncidences:
             b = random_positive_set(rng, rng.randint(1, 4))
             c = random_positive_set(rng, rng.randint(1, 4))
             grid, family = build_instance(fn, a, b, c)
-            report = count_incidences(grid, family)
+            report = count_incidences(grid, family, taus=(1, 2, 3, 4))
             naive_total, per_point = naive_incidences(grid, family)
             assert report.incidences == naive_total
             assert report.max_point_curves == max(per_point.values(), default=0)
+            assert report.rich_points == {t: naive_level_count(per_point, t) for t in (1, 2, 3, 4)}
 
     def test_exp2_matches_naive_oracle(self):
         rng = random.Random(9)

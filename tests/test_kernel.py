@@ -74,6 +74,7 @@ def test_both_paths_match_the_oracles(path, threshold, a, b):
         for op, mode in MODES.items():
             pc = pair_counts(a, b, op)
             assert hasattr(pc.counts, "tolist") == (path == "numpy")
+            assert len(pc) == len(naive_rep(a, b, mode))
             assert histogram(pc) == naive_rep(a, b, mode)
             assert pc.to_set() == NumberSet(naive_rep(a, b, mode))
         delta = naive_rep(a, a, "difference")
@@ -129,6 +130,7 @@ def test_residue_path_matches_the_oracles(a, b):
             scale = pc.denom // a.denom, pc.denom // b.denom
             width = (a.ints[-1] - a.ints[0]) * scale[0] + (b.ints[-1] - b.ints[0]) * scale[1]
             assert isinstance(pc.values, sets._Representatives) == (width < P1 * P2)
+            assert len(pc) == len(naive_rep(a, b, MODES[op]))
             assert histogram(pc) == naive_rep(a, b, MODES[op])
             assert pc.to_set() == NumberSet(naive_rep(a, b, MODES[op]))
         delta = naive_rep(a, a, "difference")

@@ -105,7 +105,7 @@ class TestLog2:
         assert hi - lo <= Fraction(1, 2 ** 55)
 
     def test_upper_is_dyadic(self):
-        u = log2_upper(100, 100)
+        u = log2_upper(100)
         assert u.denominator & (u.denominator - 1) == 0
         assert float(u) >= math.log2(100)
 
@@ -126,14 +126,12 @@ class TestCompare:
         lhs2 = power_product((RadicalSum({2: 1}), 2))
         assert compare_radical(lhs2, 2) == 0
 
-    def test_undecided_when_fallback_inapplicable(self):
-        from convexlab.errors import ComparisonUndecided
-
-        # sqrt(2)^-2 equals 1/2 exactly, but a radical base with a negative
-        # exponent is outside the fallback's scope, so the ladder must give up
+    def test_negative_radical_exponent_decided(self):
+        # sqrt(2)^-2 equals 1/2 exactly, so no interval separates them; the exact
+        # check moves the radical factor across and decides equality
         lhs = power_product((RadicalSum({2: 1}), -2))
-        with pytest.raises(ComparisonUndecided):
-            compare_radical(lhs, Fraction(1, 2))
+        assert compare_radical(lhs, Fraction(1, 2)) == 0
+        assert compare_radical(lhs, Fraction(1, 3)) == 1
 
     def test_negative_exponents(self):
         x = power_product((Fraction(9), Fraction(-1, 2)))   # 1/3
