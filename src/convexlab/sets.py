@@ -13,16 +13,22 @@ dies; `count_pairs` is the same count unkept, for sets that are read once.
 
 numpy counts only counts of NUMPY_MIN_PAIRS pairs or more, on one of two paths
 chosen from the inputs before the count starts; it is imported then.  Both
-sort one key per pair and read each run of equal keys as one value (`_runs`).
+sort one 64-bit key per pair in place.  A key no other pair shares is a value
+of multiplicity 1, so the spectrum is read from the runs of repeated keys
+alone (`_repeated_runs`), and the values and their counts are built from the
+sorted keys only when read (`_Representatives`), which then drop them.
 
 * Where int64 is proven (max|x| + max|y| < 2**62 for + and -, max|x| * max|y|
   < 2**62 for *), the key is the value itself.
-* Otherwise, for + and - on a lattice narrower than P1 * P2 (about 2**123),
-  the key is the value modulo the prime P1 = 2**61 - 31.  Neighbours in a run
-  are checked modulo P2, which is coprime to P1: two values equal modulo both
-  differ by a multiple of P1 * P2, so they are equal.  If a run disagrees
-  modulo P2, the count reruns in Python.  Each value is kept as one
-  representative pair and built only when read.
+* Otherwise, for + and - on a lattice narrower than P1 * P2 * P3 (about
+  2**161), the key is the value's residue modulo the prime P1 < 2**38, shifted
+  above the pair's index.  Only the runs of repeated residues are settled,
+  exactly.  On a lattice narrower than P1 each run is one value.  Otherwise,
+  when the runs hold no more pairs than |A| + |B|, their values are counted
+  in Python; when they hold more, neighbours in a run are compared modulo P2
+  (and P3 from a width of P1 * P2), and a run that disagrees is counted in
+  Python.  Values equal modulo all three primes differ by a multiple of
+  P1 * P2 * P3, so they are equal.
 
 All other counts (* on wide lattices, wider lattices, small counts), and all
 counts without numpy, run in pure Python on exact ints, with the same result.
@@ -32,7 +38,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Collection, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product, starmap
@@ -44,7 +50,9 @@ from .errors import EmptyInputError, ParseError, over_budget
 
 Scalar = Fraction
 
-PAIR_BUDGET = 1 << 25  # pairs in one count; T3 on random-convex n=256 needs 16.8M
+PAIR_BITS = 25  # a pair index i * len(B) + j fits in this many bits
+PAIR_BUDGET = 1 << PAIR_BITS  # pairs in one count; T3 on random-convex n=256 needs 16.8M
+PAIR_MASK = PAIR_BUDGET - 1
 # Against the Python Counter on distinct random values (2 vCPUs, numpy 2.4), the int64
 # path wins from 256 pairs and is 8x faster at 4,096; the residue path on a 113-bit
 # lattice wins from 600-1,000 pairs and is 2.7x faster at 4,096.  A search step
@@ -52,11 +60,14 @@ PAIR_BUDGET = 1 << 25  # pairs in one count; T3 on random-convex n=256 needs 16.
 # threshold, so they never pay numpy's import (about 130 ms and 14 MB).
 NUMPY_MIN_PAIRS = 1 << 11
 INT64_SAFE = 1 << 62
-# A prime: residues below it, and sums of two, fit int64.  2 has order (P1 - 1) / 8
-# modulo it, so no two powers of two share a residue; modulo the Mersenne prime
-# 2**61 - 1, 2**k and 2**(k + 61) do, and their counts would rerun in Python.
-P1 = (1 << 61) - 31
-P2 = (1 << 62) - 57  # coprime to P1; the residue path needs lattices narrower than P1 * P2
+# Primes of the residue path.  P1 < 2**38, so a residue shifted above a pair index
+# (25 bits) fits int64; 2 is a primitive root modulo it, so no two of +-2**k with
+# k < (P1 - 1) / 2 share a residue.  Runs of equal residues are checked modulo P2
+# and P3 (residues below each, and sums of two, fit int64); values equal modulo all
+# three are equal on lattices narrower than P1 * P2 * P3, about 2**161.
+P1 = (1 << 38) - 45
+P2 = (1 << 62) - 57
+P3 = (1 << 61) - 1
 OPERATORS = {"+": add, "-": sub, "*": mul}
 
 
@@ -170,33 +181,31 @@ def _from_ints(ints: list[int], denom: int) -> NumberSet:
 
 @dataclass(frozen=True, eq=False)
 class PairCounts:
-    """Histogram of x op y over A x B: values[i] / denom occurs counts[i] times.
+    """Histogram of x op y over A x B: each value v of `histogram` stands for v / denom.
 
-    `values` and `counts` are views of one dict, or numpy arrays on the numpy
-    paths; on the residue path `values` is built from one pair per value when read.
     `spectrum` maps each multiplicity to the number of values carrying it, so
     the number of values, the size of the combination set, is its total.
+    `histogram` is a Counter on the Python path; on the numpy paths it is
+    built on first read (`_Representatives`), so energies and `len`, which
+    read only the spectrum, never build the values.  A kept count whose
+    values repeat more than 8 times on average builds them at once: as
+    Python ints they take about 46 bytes each, less than 8 bytes a pair.
     """
 
-    values: Collection[int]
-    counts: Collection[int]
     denom: int
     spectrum: dict[int, int]
+    histogram: Counter | _Representatives
 
     def __len__(self) -> int:
         return sum(self.spectrum.values())
 
     def items(self):
         """(value, count) pairs as Python ints."""
-        return zip(_plain(self.values), _plain(self.counts))
+        return self.histogram.items()
 
     def to_set(self) -> NumberSet:
         """The combination set itself: the support of the histogram."""
-        return _from_ints(sorted(_plain(self.values)), self.denom)
-
-
-def _plain(seq) -> Collection[int]:
-    return seq.tolist() if hasattr(seq, "tolist") else seq
+        return _from_ints(sorted(self.histogram), self.denom)
 
 
 def pair_counts(a: NumberSet, b: NumberSet, op: str) -> PairCounts:
@@ -204,7 +213,10 @@ def pair_counts(a: NumberSet, b: NumberSet, op: str) -> PairCounts:
     key = (op, id(b))
     hit = a._memo.get(key)
     if hit is None or hit[0]() is not b:  # the weak reference pins the id to b
-        hit = a._memo[key] = (ref(b, _forgetter(ref(a), key)), count_pairs(a, b, op))
+        counts = count_pairs(a, b, op)
+        if 8 * len(counts) < len(a) * len(b):  # the sort buffer would outweigh the values (PairCounts)
+            counts.items()  # so build them now, which drops it
+        hit = a._memo[key] = (ref(b, _forgetter(ref(a), key)), counts)
     return hit[1]
 
 
@@ -236,7 +248,7 @@ def count_pairs(a: NumberSet, b: NumberSet, op: str) -> PairCounts:
         mx, my = max(-ia[0], ia[-1]), max(-ib[0], ib[-1])
         if (mx * my if op == "*" else mx + my) < INT64_SAFE:
             counter = _numpy_counts
-        elif op != "*" and ia[-1] - ia[0] + ib[-1] - ib[0] < P1 * P2:  # hi - lo of x op y
+        elif op != "*" and ia[-1] - ia[0] + ib[-1] - ib[0] < P1 * P2 * P3:  # hi - lo of x op y
             counter = _residue_counts
     try:
         return counter(ia, ib, op, denom)
@@ -246,7 +258,7 @@ def count_pairs(a: NumberSet, b: NumberSet, op: str) -> PairCounts:
 
 def _python_counts(ia, ib, op: str, denom: int) -> PairCounts:
     counts = Counter(starmap(OPERATORS[op], product(ia, ib)))
-    return PairCounts(counts.keys(), counts.values(), denom, Counter(counts.values()))
+    return PairCounts(denom, Counter(counts.values()), counts)
 
 
 def _numpy_counts(ia, ib, op: str, denom: int) -> PairCounts:
@@ -256,65 +268,137 @@ def _numpy_counts(ia, ib, op: str, denom: int) -> PairCounts:
     ufunc = {"+": np.add, "-": np.subtract, "*": np.multiply}[op]
     v = ufunc.outer(np.array(ia, dtype=np.int64), np.array(ib, dtype=np.int64)).ravel()
     v.sort()
-    starts, counts, spectrum = _runs(v[1:] == v[:-1])
-    return PairCounts(v[starts], counts, denom, spectrum)
+    _, lengths = _repeated_runs(v[1:] == v[:-1])
+
+    def build():
+        starts, counts = _runs(v[1:] != v[:-1])
+        return v[starts].tolist(), counts.tolist()
+
+    return PairCounts(denom, _spectrum(len(v), lengths), _Representatives(build))
 
 
 def _residue_counts(ia, ib, op: str, denom: int) -> PairCounts:
-    """Count x + y or x - y by sorting the pairs on their residues modulo P1.
+    """Count x + y or x - y on one 64-bit key per pair, (x op y mod P1) << PAIR_BITS | pair index.
 
-    The caller has checked that the lattice is narrower than P1 * P2, so
-    sorted neighbours that agree modulo P1 and modulo P2 are equal values.
-    If any of them disagree modulo P2, the count runs in Python instead.
-    Each run of equal residues is kept as its length and one pair index.
+    The keys are sorted in place.  A residue no other pair shares is a value
+    of multiplicity 1, so only the runs of repeated residues are settled, and
+    exactly.  When they hold no more pairs than len(A) + len(B), their values
+    are counted in Python, which costs less than the residues of A and B that
+    a check needs.  Otherwise the neighbours in each run are compared modulo
+    P2 and P3, and only a run that disagrees is counted in Python.  The caller
+    has checked that the lattice is narrower than P1 * P2 * P3, so values
+    equal modulo all three primes are equal.
     """
     import numpy as np
 
-    sign = 1 if op == "+" else -1
+    sign, nb = (1 if op == "+" else -1), len(ib)
+    x = np.array([v % P1 for v in ia], dtype=np.uint64) << PAIR_BITS | np.arange(0, len(ia) * nb, nb, dtype=np.uint64)
+    y = np.array([sign * v % P1 for v in ib], dtype=np.uint64) << PAIR_BITS | np.arange(nb, dtype=np.uint64)
+    keys = np.add.outer(x, y).ravel()  # the residue, or it plus P1, above the pair index
+    np.minimum(keys, keys - np.uint64(P1 << PAIR_BITS), out=keys)  # unsigned: a key below it wraps above itself
+    keys.sort()
+    starts, lengths = _repeated_runs((keys[1:] ^ keys[:-1]) <= PAIR_MASK)
+    width = ia[-1] - ia[0] + ib[-1] - ib[0]  # hi - lo of x op y: closer values equal modulo m are equal
+    checks = [p for p, m in ((P2, P1), (P3, P1 * P2)) if width >= m]
+    if not checks:  # no two of these values share a residue: each run is one value
+        split = np.zeros(len(starts), dtype=bool)
+    elif lengths.sum() <= len(ia) + nb:  # few repeated pairs: count them all in Python
+        split = np.ones(len(starts), dtype=bool)
+    else:
+        split = _disagreeing_runs(ia, ib, sign, keys, starts, lengths, checks)
+    exact = Counter(_pair_values(ia, ib, op, keys[_ranges(starts[split], lengths[split])] & PAIR_MASK))
+    spectrum = Counter(_spectrum(len(keys) - int(lengths[split].sum()), lengths[~split]))
+    spectrum.update(exact.values())
+    settled = starts[split]
 
-    def residues(p: int):  # x op y modulo p for every pair, row by row
-        x = np.array([v % p for v in ia], dtype=np.int64)
-        y = np.array([sign * v % p for v in ib], dtype=np.int64)
-        r = np.add.outer(x, y).ravel()
-        return np.subtract(r, p, out=r, where=r >= p)
+    def build():
+        starts, counts = _runs((keys[1:] ^ keys[:-1]) > PAIR_MASK)
+        rest = np.isin(starts, settled, invert=True)
+        values = _pair_values(ia, ib, op, keys[starts[rest]] & PAIR_MASK)
+        return values + list(exact), counts[rest].tolist() + list(exact.values())
 
-    r = residues(P1)
-    order = np.argsort(r)  # the default kind: the stable one is far slower here
-    r = r[order]
-    same = r[1:] == r[:-1]
-    r = residues(P2)[order]
-    if (same & (r[1:] != r[:-1])).any():
-        return _python_counts(ia, ib, op, denom)
-    del r
-    starts, counts, spectrum = _runs(same)
-    return PairCounts(_Representatives(ia, ib, op, order[starts]), counts, denom, spectrum)
+    return PairCounts(denom, spectrum, _Representatives(build))
 
 
-def _runs(same):
-    """Run starts, run lengths and spectrum of sorted keys, from their neighbour-equality mask."""
+def _disagreeing_runs(ia, ib, sign: int, keys, starts, lengths, checks):
+    """Which runs of equal residues modulo P1 hold values that differ modulo a prime in `checks`."""
     import numpy as np
 
-    bounds = np.flatnonzero(np.concatenate(([True], ~same, [True])))  # run starts, then the end
-    counts = np.diff(bounds)
-    times = np.bincount(counts)
+    pairs = keys[_ranges(starts, lengths)].view(np.int64)
+    pairs &= PAIR_MASK
+    rows = pairs // len(ib)
+    cols = np.subtract(pairs, rows * len(ib), out=pairs)
+    differ = np.zeros(len(rows) - 1, dtype=bool)
+    for p in checks:
+        r = np.array([v % p for v in ia], dtype=np.uint64)[rows]
+        r += np.array([sign * v % p for v in ib], dtype=np.uint64)[cols]
+        np.minimum(r, r - np.uint64(p), out=r)
+        differ |= r[1:] != r[:-1]
+    ends = np.cumsum(lengths) - 1  # each run's last position among the gathered keys
+    differ[ends[:-1]] = False  # neighbours across a run boundary
+    split = np.zeros(len(starts), dtype=bool)
+    split[np.searchsorted(ends, np.flatnonzero(differ))] = True
+    return split
+
+
+def _repeated_runs(same):
+    """Starts and lengths of the runs of two or more equal sorted keys, from their neighbour-equality mask."""
+    import numpy as np
+
+    edges = np.flatnonzero(np.diff(same, prepend=False, append=False))  # where `same` turns on, then off
+    return edges[::2], edges[1::2] - edges[::2] + 1
+
+
+def _runs(differ):
+    """Starts and lengths of every run of sorted keys, from their neighbour-inequality mask."""
+    import numpy as np
+
+    bounds = np.flatnonzero(np.concatenate(([True], differ, [True])))  # run starts, then the end
+    return bounds[:-1], np.diff(bounds)
+
+
+def _ranges(starts, lengths):
+    """The positions of every run, run after run."""
+    import numpy as np
+
+    return np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
+
+
+def _spectrum(pairs: int, lengths) -> dict[int, int]:
+    """Multiplicity -> number of values, for `pairs` pairs: runs of these `lengths`, the rest singletons."""
+    import numpy as np
+
+    times = np.bincount(lengths)
     mults = np.flatnonzero(times)
-    return bounds[:-1], counts, dict(zip(mults.tolist(), times[mults].tolist()))
+    spectrum = {1: pairs - int(lengths.sum())} if pairs > lengths.sum() else {}
+    spectrum.update(zip(mults.tolist(), times[mults].tolist()))
+    return spectrum
+
+
+def _pair_values(ia, ib, op: str, pairs) -> list[int]:
+    """x op y of each pair index i * len(ib) + j, as Python ints."""
+    rows, cols = divmod(pairs, len(ib))
+    return list(map(OPERATORS[op], map(ia.__getitem__, rows.tolist()), map(ib.__getitem__, cols.tolist())))
 
 
 class _Representatives:
-    """The values of a residue count, x op y of one pair per value, built on first read."""
+    """The histogram of a numpy count, built by `build` on first read; the sort buffer it holds then goes."""
 
-    def __init__(self, ia, ib, op: str, pairs):
-        self._source, self._list = (ia, ib, op, pairs), None
+    __slots__ = ("_build", "_columns")
 
-    def tolist(self) -> list[int]:
-        if self._list is None:
-            ia, ib, op, pairs = self._source
-            rows, cols = divmod(pairs, len(ib))
-            self._list = list(map(OPERATORS[op], map(ia.__getitem__, rows.tolist()),
-                                  map(ib.__getitem__, cols.tolist())))
-            self._source = None
-        return self._list
+    def __init__(self, build):
+        self._build, self._columns = build, None
+
+    def _read(self) -> tuple[list[int], list[int]]:
+        if self._columns is None:
+            self._columns, self._build = self._build(), None
+        return self._columns
+
+    def items(self):
+        return zip(*self._read())
+
+    def __iter__(self):
+        return iter(self._read()[0])
 
 
 def sumset(a: NumberSet, b: NumberSet) -> NumberSet:

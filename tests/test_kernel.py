@@ -6,12 +6,13 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import number_sets
 from convexlab.audit import audit_theorem, check_cauchy_schwarz, check_holder, check_lemma_e15
@@ -21,12 +22,14 @@ from convexlab.errors import BudgetError
 from convexlab.families import FamilySpec, generate
 from convexlab.functions import EXP2, EXP2_BUDGET, POWER_BUDGET, SQUARE, apply_fn, fn_by_name
 from convexlab.radicals import RadicalSum
-from convexlab.sets import P1, P2, PAIR_BUDGET, NumberSet, pair_counts, sumset, write_set_file
+from convexlab.sets import P1, P2, P3, PAIR_BUDGET, NumberSet, pair_counts, sumset, write_set_file
 from oracles import naive_rep, quadruple_energy
 
 sets = importlib.import_module("convexlab.sets")
 MODES = {"+": "sum", "-": "difference", "*": "product"}
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+# hypothesis tests that use a fixture: it records across examples, and each example clears it
+WITH_FIXTURE = settings(suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 
 
 @pytest.fixture
@@ -63,17 +66,19 @@ def histogram(pc):
 
 
 @pytest.mark.parametrize("path, threshold", [("numpy", 0), ("python", 1 << 60)])
+@WITH_FIXTURE
 @given(number_sets(max_size=7, max_num=10 ** 4, max_den=12), number_sets(max_size=7, max_num=10 ** 4, max_den=12))
-def test_both_paths_match_the_oracles(path, threshold, a, b):
+def test_both_paths_match_the_oracles(path, threshold, paths, a, b):
     """Denominators up to 12 keep every value inside int64, so the threshold alone picks the path."""
     if path == "numpy":
         pytest.importorskip("numpy")
     saved, sets.NUMPY_MIN_PAIRS = sets.NUMPY_MIN_PAIRS, threshold
+    paths.clear()
     try:
         a, b = NumberSet(a), NumberSet(b)  # fresh sets: nothing memoized from the other path
         for op, mode in MODES.items():
             pc = pair_counts(a, b, op)
-            assert hasattr(pc.counts, "tolist") == (path == "numpy")
+            assert paths.pop() == path
             assert len(pc) == len(naive_rep(a, b, mode))
             assert histogram(pc) == naive_rep(a, b, mode)
             assert pc.to_set() == NumberSet(naive_rep(a, b, mode))
@@ -88,18 +93,18 @@ def test_both_paths_match_the_oracles(path, threshold, a, b):
 
 BOUNDARY = [
     # (op, A, B, path): just below the int64 bound runs numpy; at the bound + and -
-    # count residues (the lattice is far narrower than P1 * P2) and * runs Python
+    # count residues (the lattice is far narrower than P1 * P2 * P3) and * runs Python
     ("+", [0, 1 << 61], [0, (1 << 61) - 1], "numpy"),
     ("+", [0, 1 << 61], [0, 1 << 61], "residue"),
     ("-", [0, 1 << 61], [-((1 << 61) - 1), 0], "numpy"),
     ("-", [-(1 << 61), 0], [0, 1 << 61], "residue"),
     ("*", [1, 1 << 31], [-((1 << 31) - 1), 1], "numpy"),
     ("*", [1, 1 << 31], [1, 1 << 31], "python"),
-    # the residue path needs hi - lo < P1 * P2; * on a wide lattice always runs Python
-    ("+", [0, P1 * P2 - 2], [0, 1], "residue"),
-    ("+", [0, P1 * P2 - 1], [0, 1], "python"),
-    ("-", [0, P1 * P2 - 2], [-1, 0], "residue"),
-    ("-", [-(P1 * P2), 0], [0, 1], "python"),
+    # the residue path needs hi - lo < P1 * P2 * P3; * on a wide lattice always runs Python
+    ("+", [0, P1 * P2 * P3 - 2], [0, 1], "residue"),
+    ("+", [0, P1 * P2 * P3 - 1], [0, 1], "python"),
+    ("-", [0, P1 * P2 * P3 - 2], [-1, 0], "residue"),
+    ("-", [-(P1 * P2 * P3), 0], [0, 1], "python"),
     ("*", [1, 1 << 100], [1, 3], "python"),
 ]
 
@@ -118,18 +123,20 @@ def test_int64_boundary(op, xs, ys, expected, paths, monkeypatch):
 WIDE = Fraction(-(10 ** 19))
 
 
+@WITH_FIXTURE
 @given(number_sets(max_size=7, max_num=10 ** 30, max_den=64), number_sets(max_size=7, max_num=10 ** 30, max_den=64))
-def test_residue_path_matches_the_oracles(a, b):
-    """Above int64, + and - count residues while hi - lo < P1 * P2 and run Python beyond it."""
+def test_residue_path_matches_the_oracles(paths, a, b):
+    """Above int64, + and - count residues while hi - lo < P1 * P2 * P3 and run Python beyond it."""
     pytest.importorskip("numpy")
     saved, sets.NUMPY_MIN_PAIRS = sets.NUMPY_MIN_PAIRS, 0
+    paths.clear()
     try:
         a, b = NumberSet([*a, WIDE]), NumberSet([*b, WIDE])
         for op in "+-":
             pc = pair_counts(a, b, op)
             scale = pc.denom // a.denom, pc.denom // b.denom
             width = (a.ints[-1] - a.ints[0]) * scale[0] + (b.ints[-1] - b.ints[0]) * scale[1]
-            assert isinstance(pc.values, sets._Representatives) == (width < P1 * P2)
+            assert paths.pop() == ("residue" if width < P1 * P2 * P3 else "python")
             assert len(pc) == len(naive_rep(a, b, MODES[op]))
             assert histogram(pc) == naive_rep(a, b, MODES[op])
             assert pc.to_set() == NumberSet(naive_rep(a, b, MODES[op]))
@@ -143,17 +150,138 @@ def test_residue_path_matches_the_oracles(a, b):
         sets.NUMPY_MIN_PAIRS = saved
 
 
-def test_residue_collision_falls_back_to_python(paths, monkeypatch):
-    """With P1 = 101, distinct values share residues; the P2 check sends the count to Python."""
+@pytest.fixture
+def settles(monkeypatch):
+    """Record how each residue count with checks settles its repeated runs: "check" when every run
+    agrees modulo P2 and P3, "split" when some run disagrees and is counted in Python."""
+    ran, original = [], sets._disagreeing_runs
+
+    def recording(*args):
+        split = original(*args)
+        ran.append("split" if split.any() else "check")
+        return split
+
+    monkeypatch.setattr(sets, "_disagreeing_runs", recording)
+    return ran
+
+
+def assert_exact(pc, a, b, op):
+    want = naive_rep(a, b, MODES[op])
+    assert histogram(pc) == want
+    assert pc.spectrum == Counter(want.values())
+    assert pc.to_set() == NumberSet(want)
+
+
+SPREAD = [(i << 60) + 7 * i * i for i in range(20)]  # above int64, and hi - lo above P1 * P2 for P1 = 2
+FORCED = [
+    # (A, B, settled by): at most |A| + |B| pairs share residues, so Python counts them
+    ([1 << 62], range(0, 600, 7), "python"),
+    ([1 << 62, (1 << 62) + 200], [0, 200], "python"),
+    # more repeated pairs: each run is checked modulo P2 (and P3 beyond P1 * P2), and the
+    # runs that disagree are counted in Python; the progressions repeat values many times
+    ([(1 << 62) + i for i in range(0, 300, 7)], range(0, 200, 3), "split"),
+    (SPREAD, [0, 1 << 60, 5 << 60, 9], "split"),
+    (SPREAD, SPREAD, "split"),
+    # each run holds five values, equal modulo 7777 = 7 * 11 * 101: only P3 parts them when P2 = 11
+    ([(1 << 62) + 7777 * k for k in range(5)], [0, 1, 2], "split"),
+]
+
+
+@pytest.mark.parametrize("p1, p2", [(2, P2), (7, P2), (101, P2), (7, 11)], ids=["2", "7", "101", "7-11"])
+@pytest.mark.parametrize("xs, ys, settled_by", FORCED)
+def test_forced_residue_collisions_settle_exactly(p1, p2, xs, ys, settled_by, paths, settles, monkeypatch):
+    """With a tiny P1, distinct values share residues; each count is still exact, and never reruns in
+    Python.  With P2 = 11 too, values equal modulo 77 differ only modulo P3."""
     pytest.importorskip("numpy")
     monkeypatch.setattr(sets, "NUMPY_MIN_PAIRS", 1)
-    monkeypatch.setattr(sets, "P1", 101)
-    a, b = NumberSet((1 << 62) + i for i in range(0, 300, 7)), NumberSet(range(0, 200, 3))
-    for op, mode in (("+", "sum"), ("-", "difference")):
-        pc = pair_counts(a, b, op)
-        assert histogram(pc) == naive_rep(a, b, mode)
-        assert pc.to_set() == NumberSet(naive_rep(a, b, mode))
-    assert paths == ["residue", "python"] * 2
+    monkeypatch.setattr(sets, "P1", p1)
+    monkeypatch.setattr(sets, "P2", p2)
+    a, b = NumberSet(xs), NumberSet(ys)
+    for op in "+-":
+        assert_exact(sets.count_pairs(a, b, op), a, b, op)
+    assert paths == ["residue"] * 2
+    assert settles == ([] if settled_by == "python" else [settled_by] * 2)
+
+
+@WITH_FIXTURE
+@given(st.integers(-2 ** 120, 2 ** 120), st.integers(2 ** 64, 2 ** 120), st.integers(2, 24),
+       st.lists(st.integers(-2 ** 150, 2 ** 150), min_size=1, max_size=24, unique=True))
+def test_residue_path_heavy_multiplicities(paths, settles, start, step, n, spread):
+    """Wide progressions repeat values up to n times under + and -, and A + A repeats each x + y as y + x:
+    more repeated pairs than |A| + |B|, so their runs are checked modulo P2 and P3.  A - A of a spread-out
+    set repeats little beyond 0, so Python counts its repeated pairs."""
+    pytest.importorskip("numpy")
+    saved, sets.NUMPY_MIN_PAIRS = sets.NUMPY_MIN_PAIRS, 1
+    try:
+        ap, spread = NumberSet(range(start, start + step * n, step)), NumberSet([*spread, 1 << 140])
+        for a, op in ((ap, "+"), (ap, "-"), (spread, "+"), (spread, "-")):
+            paths.clear()
+            settles.clear()
+            assert_exact(sets.count_pairs(a, a, op), a, a, op)
+            repeated = sum(c for c in naive_rep(a, a, MODES[op]).values() if c > 1)
+            assert paths == ["residue"]
+            assert settles == (["check"] if repeated > 2 * len(a) else [])
+    finally:
+        sets.NUMPY_MIN_PAIRS = saved
+
+
+def numpy_bytes() -> int:
+    """Bytes of numpy data alive now, as tracemalloc traces them."""
+    import numpy as np
+
+    domain = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+    return sum(t.size for t in tracemalloc.take_snapshot().filter_traces([domain]).traces)
+
+
+@pytest.mark.parametrize("den", [64, 1], ids=["residue", "int64"])
+def test_values_are_built_only_when_read(den, paths):
+    """The battery's E(A, A+B) keeps no numpy array once it returns; its count holds one key per pair and
+    no value array; a kept histogram drops that sort buffer once its values are read."""
+    pytest.importorskip("numpy")
+    rng, slack = random.Random(7), 1 << 16
+
+    def rationals(n):
+        vals = set()
+        while len(vals) < n:
+            vals.add(Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, den)))
+        return NumberSet(vals)
+
+    a, b = rationals(64), rationals(64)
+    ab = sumset(a, b)
+    keys = 8 * len(a) * len(ab)
+    tracemalloc.start()
+    try:
+        base = numpy_bytes()
+        energy(a, ab)
+        assert numpy_bytes() - base < slack
+        pc = sets.count_pairs(a, ab, "-")
+        assert keys <= numpy_bytes() - base < keys + slack
+        del pc
+        kept = pair_counts(a, ab, "-")
+        assert keys <= numpy_bytes() - base < keys + slack
+        assert len(kept.to_set()) == len(kept)
+        assert numpy_bytes() - base < slack
+    finally:
+        tracemalloc.stop()
+    assert set(paths) == {"residue" if den == 64 else "numpy"}
+
+
+@pytest.mark.parametrize("offset", [1 << 70, 0], ids=["residue", "int64"])
+def test_kept_heavy_count_holds_values_not_keys(offset, paths):
+    """A kept count whose values repeat 8 times or more on average builds them at once and drops its
+    sort buffer, which would outweigh them: an AP's A - A keeps 2n - 1 values, not n^2 keys."""
+    pytest.importorskip("numpy")
+    ap = NumberSet(range(offset, offset + 256))
+    tracemalloc.start()
+    try:
+        base = numpy_bytes()
+        kept = pair_counts(ap, ap, "-")
+        assert numpy_bytes() - base < 1 << 16  # the sort buffer alone is 8 * 256^2 = 512 KiB
+    finally:
+        tracemalloc.stop()
+    assert kept.spectrum == {**{m: 2 for m in range(1, 256)}, 256: 1}  # 256 - |d| pairs give d
+    assert kept.to_set() == NumberSet(range(-255, 256))
+    assert paths == ["residue" if offset else "numpy"]
 
 
 POWERS = [1 << k for k in range(120)]
@@ -173,19 +301,21 @@ def test_powers_of_two_count_on_residues(op, xs, ys, paths, monkeypatch):
     assert pc.to_set() == NumberSet(naive_rep(a, b, MODES[op]))
 
 
+@WITH_FIXTURE
 @given(st.integers(-50, 50), st.integers(1, 9), st.integers(2, 30), st.integers(-50, 50), st.integers(1, 9),
        st.integers(2, 30))
-def test_int64_path_heavy_multiplicities(s0, d0, n0, s1, d1, n1):
+def test_int64_path_heavy_multiplicities(paths, s0, d0, n0, s1, d1, n1):
     """Arithmetic progressions with 0 and negative elements repeat values many times under + - *."""
     pytest.importorskip("numpy")
     saved, sets.NUMPY_MIN_PAIRS = sets.NUMPY_MIN_PAIRS, 1
+    paths.clear()
     try:
         a = NumberSet([0, *range(s0, s0 + d0 * n0, d0)])
         b = NumberSet([0, -1, *range(s1, s1 + d1 * n1, d1)])
         for x, y in ((a, b), (b, a), (a, a)):
             for op, mode in MODES.items():
                 pc = sets.count_pairs(x, y, op)
-                assert hasattr(pc.values, "dtype")  # the int64 path ran
+                assert paths.pop() == "numpy"
                 want = naive_rep(x, y, mode)
                 assert histogram(pc) == want
                 assert pc.spectrum == Counter(want.values())
