@@ -50,8 +50,8 @@ def energy_cross_moment(a: NumberSet, b: NumberSet) -> int:
     """The third equivalent form: sum_s delta_A(s) * delta_B(s)."""
     da, db = _scaled_counter(a, a, DIFFERENCE), _scaled_counter(b, b, DIFFERENCE)
     denom = lcm(da.denom, db.denom)  # match the keys on the common lattice
-    delta_b = {v * (denom // db.denom): c for v, c in db.items()}
-    return sum(c * delta_b.get(v * (denom // da.denom), 0) for v, c in da.items())
+    delta_b = dict(db.scaled(denom))
+    return sum(c * delta_b.get(v, 0) for v, c in da.scaled(denom))
 
 
 def energy_third(a: NumberSet) -> int:

@@ -5,17 +5,20 @@ L = { graph(f) + (b, c) : (b, c) in B x C }.  Each curve is the injective
 convex branch of a catalog function, so any two curves intersect at most
 once and the incidence count obeys  I <= 4(PL)^(2/3) + 4P + L,  decided
 exactly on integers (cube the rearranged inequality).  Counting runs on the
-integer lattice Z/D of x, y, b and c: curves are grouped by b, f(x - b) is
-computed once per (b, x) in A+B, and each c is one hash lookup of y.  The
-counts read spectra (multiplicity -> how many points or sums carry it); rich
-points and the level-set lemmas share the rule `energy.level_set_count`.
+integer lattice Z/D of x, y, b and c: curve (b, c) passes through (x, y) iff
+f(x - b) = y - c, so the work is |X||B| evaluations of f, indexed by value, and
+|Y||C| lookups of y - c.  The counts read spectra (multiplicity -> how many
+points or sums carry it); rich points and the level-set lemmas share the rule
+`energy.level_set_count`.
 """
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import ROUND_CEILING
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 from .comparison import decimal_of, fraction_to_decimal, root_bounds
@@ -24,7 +27,6 @@ from .errors import EmptyInputError
 from .functions import ConvexFn, apply_fn
 from .sets import NumberSet, pair_counts, sumset
 
-Counters = dict[tuple[int, int], int]
 TAUS = (1, 2, 4, 8)  # the default richness thresholds
 
 
@@ -84,31 +86,26 @@ def build_instance(fn: ConvexFn, a: NumberSet, b: NumberSet, c: NumberSet) -> tu
     return grid, CurveFamily(fn=fn, b=b, c=c)
 
 
-def incidence_hits(grid: PointGrid, family: CurveFamily) -> Counters:
-    """Curves through each grid point, keyed (x index, y index), counted on one integer lattice Z/D.
+def incidence_hits(grid: PointGrid, family: CurveFamily) -> Iterator[tuple[int, Counter]]:
+    """(y index, Counter of x index -> curves through (x, y)) for each y, counted on one integer lattice Z/D.
 
-    Curves are grouped by b: w = D*f((x - b)/D) is computed once per (b, x) with the
-    exact integer map of `ConvexFn.on_lattice`, then each c costs one y lookup.
+    Curve (b, c) passes through (x, y) iff f(x - b) = y - c: w = D*f((x - b)/D) is computed
+    once per (x, b) by `ConvexFn.on_lattice` and indexed w -> [x index], and each (y, c) is one lookup.
     """
     d = lcm(grid.xs.denom, grid.ys.denom, family.b.denom, family.c.denom)
-    xs, bs, cs = ([v * (d // s.denom) for v in s.ints] for s in (grid.xs, family.b, family.c))
-    y_index = {v * (d // grid.ys.denom): i for i, v in enumerate(grid.ys.ints)}
-    f, y_of = family.fn.on_lattice(d), y_index.get
-    hits: Counters = Counter()
-    for bi in bs:
-        ws = [(xi, w) for xi, x in enumerate(xs) if (w := f(x - bi)) is not None]
-        for ci in cs:
-            hits.update([(xi, yi) for xi, w in ws if (yi := y_of(w + ci)) is not None])
-    return hits
+    xs, ys, bs, cs = (s.scaled(d) for s in (grid.xs, grid.ys, family.b, family.c))
+    f, at = family.fn.on_lattice(d), {}
+    for b in bs:
+        for xi, x in enumerate(xs):
+            if (w := f(x - b)) is not None:
+                at.setdefault(w, []).append(xi)
+    for yi, y in enumerate(ys):
+        yield yi, Counter(chain.from_iterable(at.get(y - c, ()) for c in cs))
 
 
-def count_incidences(
-    grid: PointGrid,
-    family: CurveFamily,
-    taus: tuple[int, ...] = TAUS,
-) -> IncidenceReport:
-    """Exact incidence count, rich-point histogram and the incidence-bound verdict, from one hit-map spectrum."""
-    times = Counter(incidence_hits(grid, family).values())
+def count_incidences(grid: PointGrid, family: CurveFamily, taus: tuple[int, ...] = TAUS) -> IncidenceReport:
+    """Exact incidence count, rich-point histogram and the incidence-bound verdict, from one spectrum of the hits."""
+    times = Counter(chain.from_iterable(through.values() for _, through in incidence_hits(grid, family)))
     incidences = sum(m * t for m, t in times.items())
     p, l = len(grid), len(family)
     return IncidenceReport(
@@ -162,12 +159,6 @@ class LevelSetReport:
         }
 
 
-def _hypothesis_flags(a: NumberSet, b: NumberSet, c: NumberSet) -> tuple[bool, tuple[str, ...]]:
-    ok = len(b) * len(c) >= len(a) ** 2
-    flags = () if ok else ("|B||C| < |A|^2",)
-    return ok, flags
-
-
 def _level_ratio(
     name: str, fn: ConvexFn, a: NumberSet, b: NumberSet, c: NumberSet, tau: int, sigma_of_image: bool
 ) -> LevelSetReport:
@@ -179,8 +170,8 @@ def _level_ratio(
     (x, y), (u, v) = ((fa, c), (a, b)) if sigma_of_image else ((a, b), (fa, c))
     lhs = level_set_count(pair_counts(x, y, "+").spectrum, tau)
     rhs = Fraction(len(pair_counts(u, v, "+")) ** 2 * len(y) ** 2, len(v) * tau ** 3)
-    ok, flags = _hypothesis_flags(a, b, c)
-    return LevelSetReport(name, tau, lhs, rhs, Fraction(lhs) / rhs, ok, flags)
+    ok = len(b) * len(c) >= len(a) ** 2
+    return LevelSetReport(name, tau, lhs, rhs, Fraction(lhs) / rhs, ok, () if ok else ("|B||C| < |A|^2",))
 
 
 def lemma_st1_ratio(fn: ConvexFn, a: NumberSet, b: NumberSet, c: NumberSet, tau: int) -> LevelSetReport:

@@ -141,9 +141,10 @@ class NumberSet:
             inner += f", ... ({len(self)} elements)"
         return f"NumberSet({{{inner}}})"
 
-    def scaled(self) -> tuple[tuple[int, ...], int]:
-        """Integer representation: (k_1..k_n, L) with element_i == k_i / L."""
-        return self.ints, self.denom
+    def scaled(self, denom: int) -> tuple[int, ...] | list[int]:
+        """The elements as integers on Z/denom, a multiple of `self.denom`; on Z/self.denom, `ints` itself."""
+        k = denom // self.denom
+        return self.ints if k == 1 else [v * k for v in self.ints]
 
     def memo(self, key, build):
         """build(), computed once per key and kept until this set dies."""
@@ -203,6 +204,11 @@ class PairCounts:
         """(value, count) pairs as Python ints."""
         return self.histogram.items()
 
+    def scaled(self, denom: int):
+        """(value, count) pairs with the values on the lattice Z/denom, a multiple of `self.denom`."""
+        k = denom // self.denom
+        return self.items() if k == 1 else ((v * k, c) for v, c in self.items())
+
     def to_set(self) -> NumberSet:
         """The combination set itself: the support of the histogram."""
         return _from_ints(sorted(self.histogram), self.denom)
@@ -241,8 +247,7 @@ def count_pairs(a: NumberSet, b: NumberSet, op: str) -> PairCounts:
         ia, ib, denom = a.ints, b.ints, a.denom * b.denom
     else:
         denom = lcm(a.denom, b.denom)
-        ia = [v * (denom // a.denom) for v in a.ints]
-        ib = [v * (denom // b.denom) for v in b.ints]
+        ia, ib = a.scaled(denom), b.scaled(denom)
     counter = _python_counts
     if len(ia) * len(ib) >= NUMPY_MIN_PAIRS:
         mx, my = max(-ia[0], ia[-1]), max(-ib[0], ib[-1])

@@ -176,6 +176,34 @@ def test_audit_report_digests(case, tmp_path, monkeypatch, capsys):
     assert hashlib.sha256((tmp_path / "out.txt").read_bytes()).hexdigest() == GOLDEN_AUDITS[case]
 
 
+# sha256 of whole `incidence --tau 1,2,4,8 --output` reports, keyed (fn, A, B, C) over GOLDEN_SETS
+GOLDEN_INCIDENCES = {
+    ("exp2", "ap4", "squares12", "ap4"): "a120638e0e721d440237987fc9580b51e9d189ca807006e61e1b961e81060865",
+    ("exp2", "squares12", "ap4", "ap4"): "84f532eccd40c184c3f74c3da12a1f9d26e586749f458424f3a66a3da9dd56b6",
+    ("power:3", "ap4", "squares12", "ap4"): "8daf31a07e73c5e88c5e04a384aac9756e3ef9b528fa6498f565096dab31410e",
+    ("power:3", "rconvex12", "ap4", "squares12"): "34c0204824840545944ad4a62ef19353a9ab37ba44636264ee8a7cd2d846fa99",
+    ("power:3", "squares12", "ap4", "ap4"): "c2d3048d14a5ad382f933a2f4f0113d54f52f25fe05ae82a5cfd2c6562feeb71",
+    ("reciprocal", "ap4", "squares12", "ap4"): "17977f7d194fbd538d4b726fe4e09a3a3426aee84e1390c0078c3585ee37806e",
+    ("reciprocal", "rconvex12", "ap4", "squares12"): "ae82e6df943e938da6c8d8fc0635fe98cbf227a9aff852d303dfe3f5f15675d1",
+    ("reciprocal", "squares12", "ap4", "ap4"): "be68ca43405519004392013c1263d2903d5a9ce4aeaa97b5fa895a8ace4d3bbe",
+    ("square", "ap4", "squares12", "ap4"): "9160f8c7af58e65cb7daba7413f9dff3dc57fde32288b35d4542b6d8a531ba90",
+    ("square", "rconvex12", "ap4", "squares12"): "aa5d0d2efd4c66ba3381def27ed8d95642ab1cb6b917094a7cd693d58199dd99",
+    ("square", "squares12", "ap4", "ap4"): "fe0a85a54232de1b9d1da5b28d58763d1afe5092b56321aa6bb3148e23b04819",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_INCIDENCES), ids="-".join)
+def test_incidence_report_digests(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the header records the input path as given
+    for name, spec in GOLDEN_SETS.items():
+        write_set_file(f"{name}.txt", generate(spec))
+    fn, a, b, c = case
+    code, _, _ = run(["incidence", "--input", f"{a}.txt", "--bset", f"{b}.txt", "--cset", f"{c}.txt",
+                      "--fn", fn, "--tau", "1,2,4,8", "--output", "out.txt"], capsys)
+    assert code == 0
+    assert hashlib.sha256((tmp_path / "out.txt").read_bytes()).hexdigest() == GOLDEN_INCIDENCES[case]
+
+
 class TestIncidence:
     def test_parabola(self, set_file, capsys):
         a = set_file("a.txt", [0, 1, 2])

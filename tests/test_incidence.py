@@ -163,7 +163,7 @@ def small_sets(elements):
 
 def hits_by_point(grid, family):
     return {(grid.xs.elements[xi], grid.ys.elements[yi]): n
-            for (xi, yi), n in incidence_hits(grid, family).items()}
+            for yi, through in incidence_hits(grid, family) for xi, n in through.items()}
 
 
 class TestLatticeKernel:
@@ -192,6 +192,24 @@ class TestLatticeKernel:
     def test_exp2_instances_match_oracle(self, a, b, c):
         grid, family = build_instance(EXP2, a, b, c)
         assert hits_by_point(grid, family) == naive_incidences(grid, family)[1]
+
+    @pytest.mark.parametrize("fn", [SQUARE, power_fn(3), RECIPROCAL, EXP2])
+    def test_ap_instances_match_oracle(self, fn):
+        # on APs one curve value w is met by many (x, b), and one y - c by many (y, c)
+        a, b, c = nset(*range(1, 8)), nset(*range(0, 6)), nset(*range(0, 12, 2))
+        grid, family = build_instance(fn, a, b, c)
+        hits = hits_by_point(grid, family)
+        assert hits == naive_incidences(grid, family)[1]
+        assert sum(hits.values()) >= len(a) * len(b) * len(c)
+
+    def test_exp2_values_in_one_hash_class_match_oracle(self):
+        # CPython hashes ints modulo 2**61 - 1, so every curve value 2**(61 j) hashes to 1
+        rng = random.Random(61)
+        for _ in range(3):
+            a, b, c = (NumberSet(61 * k for k in rng.sample(range(21), 6)) for _ in "abc")
+            grid, family = build_instance(EXP2, a, b, c)
+            assert {hash(2 ** (x - bb)) for x in grid.xs for bb in family.b if x >= bb} == {1}
+            assert hits_by_point(grid, family) == naive_incidences(grid, family)[1]
 
     def test_exp2_budget_fires_on_the_shifted_argument(self, tmp_path, capsys):
         for part, values in zip("abc", ([1], [0, 16384], [0])):

@@ -63,8 +63,9 @@ class TestNumberSet:
 
     @given(number_sets(min_size=1, max_size=10))
     def test_scaled_representation(self, a):
-        ints, denom = a.scaled()
-        assert [Fraction(v, denom) for v in ints] == list(a.elements)
+        assert a.scaled(a.denom) is a.ints
+        for denom in (a.denom, 6 * a.denom):
+            assert [Fraction(v, denom) for v in a.scaled(denom)] == list(a.elements)
 
 
 class TestCombinationSets:
