@@ -48,7 +48,7 @@ from .comparison import (
     fraction_to_decimal,
     log2_upper,
     power_product,
-    ratio_bounds,
+    value_bounds,
 )
 from .energy import energy, energy_report
 from .errors import AuditFailure, DomainError, EmptyInputError
@@ -94,7 +94,7 @@ class AuditReport:
         }
 
     def ratio_bounds(self, prec: int) -> tuple[Fraction, Fraction]:
-        return ratio_bounds(self.lhs_value, self.rhs_value, prec)
+        return value_bounds(power_product((self.lhs_value, 1), (self.rhs_value, -1)), prec)
 
 
 class Quantities:
@@ -297,7 +297,7 @@ def _evaluate(row: Step, q: Quantities, flags: tuple[str, ...] = (), digits: int
         verdict=verdict,
         lhs=decimal_of(lhs, digits),
         rhs=decimal_of(rhs, digits),
-        ratio=decimal_of(lhs, digits, den=rhs),
+        ratio=decimal_of(power_product((lhs, 1), (rhs, -1)), digits),
         hypothesis_flags=tuple(flags),
         lhs_value=lhs,
         rhs_value=rhs,

@@ -141,7 +141,7 @@ def cmd_incidence(args) -> int:
     a = read_set_file(args.input)
     b = read_set_file(args.bset)
     c = read_set_file(args.cset)
-    taus = tuple(int(t) for t in args.tau.split(",")) if args.tau else TAUS
+    taus = tuple(int(t) for t in args.tau.split(",")) if args.tau is not None else TAUS
     grid, family = build_instance(fn, a, b, c)
     report = count_incidences(grid, family, taus=taus)
     payload = {**_header(args, fn=fn.name), "incidence": report.to_json_dict(args.precision)}
@@ -219,7 +219,7 @@ def build_parser() -> _Parser:
     p.add_argument("--fn", default="square")
     p.add_argument("--tau", default=None, help="comma-separated richness thresholds")
     p.add_argument("--workers", type=int, default=1,
-                   help="caps parallelism; the count runs serially, so every value gives the same report")
+                   help="accepted and ignored: the count always runs serially")
     _add_common(p)
 
     p = sub.add_parser("scan", help="growth exponents across a family")
@@ -234,7 +234,7 @@ def build_parser() -> _Parser:
     p.add_argument("--best-set", default=None, help="write the best set to this file")
     p.add_argument("--seed", type=int, default=None, help="overrides the config's seed")
     p.add_argument("--workers", type=int, default=1,
-                   help="caps parallelism; restarts run serially, so every value gives the same report")
+                   help="accepted and ignored: the restarts always run serially")
     _add_common(p)
 
     return parser

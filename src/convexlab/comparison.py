@@ -4,12 +4,16 @@ Everything the audits compare is a product of nonnegative integers,
 rationals, and RadicalSum values raised to rational exponents.  Verdicts are
 produced by interval arithmetic over exact dyadic rationals: square/cube/n-th
 roots come from integer n-th roots of scaled integers (floor for the lower
-endpoint, +1 ulp for the upper), so every bound is rigorous.  Precision
-starts at 128 bits and doubles.  If the intervals have not separated at 4096
-bits, an exact check raises both sides to the least common exponent
-multiple, clears denominators, and compares canonical integer-coefficient
-radical sums structurally, which decides equality; unequal values separate
-at some higher precision, so a comparison never gives up.
+endpoint, +1 ulp for the upper), so every bound is rigorous.  `value_bounds`
+is the only code that walks a value.  A value is exact when its enclosure has
+zero width: rationals, rational roots of rationals, radical sums with no
+sqrt(d) for d > 1, and products of these, at every precision.  Precision
+starts at 128 bits and doubles; exact values are decided or rendered at the
+first rung.  If the intervals have not separated at 4096 bits, an exact
+check raises both sides to the least common exponent multiple, clears
+denominators, and compares canonical integer-coefficient radical sums
+structurally, which decides equality; unequal values separate at some
+higher precision, so a comparison never gives up.
 """
 from __future__ import annotations
 
@@ -151,31 +155,6 @@ def _normalize(v) -> PowerProduct:
     raise TypeError(f"cannot compare value of type {type(v).__name__}")
 
 
-def exact_fraction(v) -> Fraction | None:
-    """The exact rational value of an expression, or None when it is irrational
-    (or not provably rational by perfect-power extraction)."""
-    if isinstance(v, (int, Fraction)):
-        return Fraction(v)
-    pp = _normalize(v)
-    out = Fraction(1)
-    for base, e in pp.factors:
-        if isinstance(base, RadicalSum):
-            r = base.rational_value()
-            if r is None:
-                return None
-            base = Fraction(r)
-        t = base ** e.numerator
-        q = e.denominator
-        if q > 1:
-            rn = iroot_floor(t.numerator, q)
-            rd = iroot_floor(t.denominator, q)
-            if rn ** q != t.numerator or rd ** q != t.denominator:
-                return None
-            t = Fraction(rn, rd)
-        out *= t
-    return out
-
-
 def value_bounds(v, prec: int) -> tuple[Fraction, Fraction]:
     """Rigorous rational enclosure of a nonnegative expression."""
     if isinstance(v, int):
@@ -185,18 +164,18 @@ def value_bounds(v, prec: int) -> tuple[Fraction, Fraction]:
         return v, v
     if isinstance(v, RadicalSum):
         return v.bounds(prec)
-    pp = _normalize(v)
     lo = hi = Fraction(1)
-    for base, e in pp.factors:
+    for base, e in _normalize(v).factors:
         blo, bhi = value_bounds(base, prec)
-        if e > 0:
-            flo = pow_frac_bounds(blo, e, prec)[0]
-            fhi = pow_frac_bounds(bhi, e, prec)[1]
-        else:
-            if blo <= 0:
-                raise ZeroDivisionError("negative exponent needs a positive base bound")
-            flo = pow_frac_bounds(bhi, e, prec)[0]
-            fhi = pow_frac_bounds(blo, e, prec)[1]
+        if e < 0 and blo <= 0:
+            raise ZeroDivisionError("negative exponent needs a positive base bound")
+        if e == 1:
+            flo, fhi = blo, bhi
+        elif blo == bhi:  # an exact base: one enclosure of its power gives both ends
+            flo, fhi = pow_frac_bounds(blo, e, prec)
+        else:  # a negative power swaps the base's ends
+            flo = pow_frac_bounds(blo if e > 0 else bhi, e, prec)[0]
+            fhi = pow_frac_bounds(bhi if e > 0 else blo, e, prec)[1]
         lo, hi = lo * flo, hi * fhi
     return lo, hi
 
@@ -225,15 +204,12 @@ def _cleared_radical_pair(px: PowerProduct, py: PowerProduct) -> tuple[RadicalSu
 def compare_radical(x, y) -> int:
     """Strict three-way comparison of two nonnegative radical/power expressions.
 
-    Returns -1, 0, or 1.  Exact rationals compare directly.  Otherwise the
-    intervals start at 128 bits and double until they separate; at 4096 bits
-    the cleared radical sums are checked once for structural equality, and
-    unequal values always separate at some precision.
+    Returns -1, 0, or 1.  The intervals start at 128 bits and double until
+    they separate; two equal zero-width enclosures are equal values.  At 4096
+    bits the cleared radical sums are checked once for structural equality,
+    and unequal values always separate at some precision.
     """
     px, py = _normalize(x), _normalize(y)
-    ex, ey = exact_fraction(px), exact_fraction(py)
-    if ex is not None and ey is not None:
-        return (ex > ey) - (ex < ey)
     prec = LADDER[0]
     while True:
         xlo, xhi = value_bounds(px, prec)
@@ -242,6 +218,8 @@ def compare_radical(x, y) -> int:
             return LT
         if yhi < xlo:
             return GT
+        if xlo == xhi == ylo == yhi:
+            return EQ
         if prec == LADDER[-1]:
             rx, ry = _cleared_radical_pair(px, py)
             if rx == ry:
@@ -258,26 +236,25 @@ def fraction_to_decimal(q: Fraction, digits: int = 30, rounding: str = ROUND_HAL
     return str(d)
 
 
-def decimal_of(v, digits: int = 30, rounding: str = ROUND_HALF_EVEN, den=1) -> str:
-    """Deterministic decimal rendering of v/den for nonnegative expressions.
+def decimal_of(v, digits: int = 30, rounding: str = ROUND_HALF_EVEN) -> str:
+    """Deterministic decimal rendering of a nonnegative expression.
 
-    Exact rationals render exactly; irrational values walk the precision
-    ladder until both endpoints of the enclosure agree at the requested digit
-    count (the lower endpoint's rendering is used if the 4096-bit ceiling is
-    reached, which no catalog value does).
+    A zero-width enclosure is the exact value and renders once.  Otherwise
+    the precision doubles from 128 bits until both endpoints render the same
+    digits, which is then the correctly rounded value.  The last rung is the
+    first from 4096 bits at which the enclosure is narrower than 2**-32 units
+    in the last place, so it grows with `digits` and with the enclosure.  Only
+    a value within that width of a rounding boundary is left unresolved there
+    and renders as its lower endpoint, which may be one unit off in the last
+    place: in practice a rational value on a boundary whose enclosure is never
+    zero-width, such as sqrt(3)**2 / 2 at one digit.  No catalog value is one.
     """
-    ev, ed = exact_fraction(v), exact_fraction(den)
-    if ev is not None and ed is not None:
-        return fraction_to_decimal(ev / ed, digits, rounding)
-    for prec in LADDER:
-        slo, shi = (fraction_to_decimal(q, digits, rounding) for q in ratio_bounds(v, den, prec))
-        if slo == shi:
-            break
-    return slo
-
-
-def ratio_bounds(num, den, prec: int) -> tuple[Fraction, Fraction]:
-    """Enclosure of num/den, both nonnegative with den bounded away from 0."""
-    nlo, nhi = value_bounds(num, prec)
-    dlo, dhi = value_bounds(den, prec)
-    return nlo / dhi, nhi / dlo
+    prec = LADDER[0]
+    while True:
+        lo, hi = value_bounds(v, prec)
+        text = fraction_to_decimal(lo, digits, rounding)
+        if lo == hi or text == fraction_to_decimal(hi, digits, rounding):
+            return text
+        if prec >= LADDER[-1] and (hi - lo) * (10 ** digits << 32) < lo:
+            return text
+        prec *= 2

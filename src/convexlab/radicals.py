@@ -127,14 +127,6 @@ class RadicalSum:
             n >>= 1
         return result
 
-    def rational_value(self) -> int | None:
-        """The exact integer value when no genuine radical remains, else None."""
-        if not self.terms:
-            return 0
-        if set(self.terms) == {1}:
-            return self.terms[1]
-        return None
-
     def bounds(self, prec: int) -> tuple[Fraction, Fraction]:
         """Enclosing rational interval with absolute radical error < len(terms)/2**prec."""
         scale = 1 << prec

@@ -22,11 +22,11 @@ from fractions import Fraction
 
 from .comparison import fraction_to_decimal, pow_frac_bounds
 from .audit import CHAINS, clamped_log2
-from .errors import DomainError
+from .errors import DomainError, over_budget
 from .families import FamilySpec, generate
 from .functions import LOG, ConvexFn, apply_fn, fn_by_name
 from .seeding import derive_seed
-from .sets import NumberSet, count_pairs
+from .sets import PAIR_BUDGET, NumberSet, count_pairs
 
 # The theorem chain whose final ratio each objective normalizes
 OBJECTIVE_CHAINS = {"T1ratio": "T1", "T2ratio": "T2", "diffProdRatio": "T1", "sumProdRatio": "T2"}
@@ -55,6 +55,8 @@ class SearchConfig:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
         if self.set_size < 4:
             raise ValueError("set_size must be at least 4")
+        if self.set_size ** 2 > PAIR_BUDGET:  # every objective counts |A|^2 pairs
+            raise over_budget("pair count", self.set_size ** 2, "PAIR_BUDGET", PAIR_BUDGET)
         if self.iterations < 0:
             raise ValueError("iterations must be nonnegative")
         if self.temp_initial <= 0 or not 0 < self.temp_decay <= 1:

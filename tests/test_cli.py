@@ -86,6 +86,10 @@ class TestUsageErrors:
         assert run([command, *argv], capsys)[0] == 0
         assert run([command, *argv, flag, "1"], capsys)[0] == 1
 
+    def test_empty_tau_list(self, set_file, capsys):
+        a = set_file("a.txt", [1, 2, 4])
+        assert run(["incidence", "--input", a, "--bset", a, "--cset", a, "--tau", ""], capsys)[0] == 1
+
 
 class TestAudit:
     def test_t1_squares_exit_zero(self, set_file, capsys):
@@ -285,6 +289,17 @@ class TestSearch:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"objective": "nope", "set_size": 8, "iterations": 1}))
         assert run(["search", "--config", str(path)], capsys)[0] == 1
+
+    def test_pair_budget_refused_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # 5,793^2 pairs exceed PAIR_BUDGET = 2^25; the start set is never generated
+        def refuse(*_):
+            raise AssertionError("generate ran on an over-budget config")
+
+        monkeypatch.setattr("convexlab.families.generate", refuse)
+        monkeypatch.setattr("convexlab.search.generate", refuse)
+        code, _, err = run(["search", "--config", self.make_config(tmp_path, set_size=5793)], capsys)
+        assert code == 1
+        assert "PAIR_BUDGET" in err
 
 
 class TestRoundTrip:

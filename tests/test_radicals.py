@@ -1,9 +1,11 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from convexlab import comparison
 from convexlab.comparison import (
     compare_radical,
     decimal_of,
@@ -55,11 +57,6 @@ class TestRadicalSum:
         # (12 + 8 sqrt2)^3 = 6336 + 4480 sqrt2  (hand expansion)
         assert cube.terms == {1: 6336, 2: 4480}
         assert x ** 0 == RadicalSum({1: 1})
-
-    def test_rational_value(self):
-        assert RadicalSum({1: 5}).rational_value() == 5
-        assert RadicalSum({}).rational_value() == 0
-        assert RadicalSum({2: 1}).rational_value() is None
 
     @given(st.dictionaries(st.integers(1, 50), st.integers(0, 20), max_size=5))
     def test_bounds_bracket_float_value(self, terms):
@@ -154,8 +151,38 @@ class TestDecimals:
         assert s.startswith("1.4142135623730950488016887242")
 
     def test_ratio_rendering(self):
-        s = decimal_of(RadicalSum({2: 1}), 20, den=2)
+        s = decimal_of(power_product((RadicalSum({2: 1}), 1), (2, -1)), 20)
         assert s.startswith("0.7071067811865475")
+
+    def test_integer_radical_sum_renders_exactly(self):
+        # a sum with only d = 1 terms has a zero-width enclosure: no padding digits
+        assert decimal_of(RadicalSum({1: 5})) == "5"
+        assert decimal_of(RadicalSum({4: 3})) == "6"
+        assert decimal_of(RadicalSum({})) == "0"
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.fractions(min_value=Fraction(1, 10 ** 4), max_value=10 ** 6, max_denominator=10 ** 4),
+           st.integers(min_value=2, max_value=5))
+    def test_rational_root_is_exact_at_first_rung(self, monkeypatch, q, k):
+        def structural(*_):
+            raise AssertionError("an exact value reached the structural check")
+
+        monkeypatch.setattr(comparison, "_cleared_radical_pair", structural)
+        root = power_product((q ** k, Fraction(1, k)))
+        assert decimal_of(root) == fraction_to_decimal(q)
+        assert compare_radical(root, q) == 0
+
+    @pytest.mark.parametrize("digits", [1300, 2000])
+    def test_long_renderings_are_correctly_rounded(self, digits):
+        # the last rung grows with the digits asked for; 4096 bits give only ~1,233
+        with localcontext() as ctx:
+            ctx.prec = digits
+            want = str(Decimal(2).sqrt())
+        assert decimal_of(RadicalSum({2: 1}), digits) == want
+
+    def test_rational_on_a_rounding_boundary_terminates(self):
+        # sqrt(3)^2 / 2 = 1.5 exactly, yet its enclosure never has zero width
+        assert decimal_of(power_product((RadicalSum({3: 1}), 2), (2, -1)), 1) in ("1", "2")
 
     def test_pow_frac_bounds_bracket(self):
         lo, hi = pow_frac_bounds(Fraction(10), Fraction(2, 3), 80)

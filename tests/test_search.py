@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from convexlab.errors import DomainError
+from convexlab.errors import BudgetError, DomainError
 from convexlab.families import FamilySpec
 from convexlab.search import (
     SearchConfig,
@@ -38,6 +38,9 @@ class TestConfig:
             cfg(move_set=("teleport",))
         with pytest.raises(ValueError):
             cfg(restarts=0)
+        with pytest.raises(BudgetError, match="PAIR_BUDGET"):
+            cfg(set_size=5793)
+        assert cfg(set_size=5792).set_size == 5792  # 5,792^2 pairs fit in PAIR_BUDGET; not run
 
     def test_json_round_trip(self):
         c = cfg(initial=FamilySpec("geometric", 8, ratio=Fraction(3, 2)), restarts=2)
