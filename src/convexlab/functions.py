@@ -21,9 +21,10 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import DomainError, EmptyInputError, over_budget
-from .sets import NumberSet
+from .sets import NumberSet, _from_ints
 
 POWER_BUDGET = 64  # largest k in power:k
 EXP2_BUDGET = 1 << 14  # largest |x| in exp2(x): 2**x has at most 16 Ki bits
@@ -143,9 +144,27 @@ def apply_fn(fn: ConvexFn, a: NumberSet) -> NumberSet:
     On the injective domains of the catalog |f(A)| == |A|.  square/power
     accept mixed-sign inputs too, in which case collisions may shrink the
     image (callers in audit pipelines enforce nonnegativity instead).
+    The image of ints / d is computed in ints, on its own lattice: v^k / d^k for
+    power:k, d / v over lcm(v) for reciprocal, 2^v over 2^-min(v, 0) for exp2.
     """
     if len(a) == 0:
         raise EmptyInputError("apply_fn requires a nonempty set")
     if fn.kind == "log":
         raise DomainError("log is never evaluated; use product_set for |log(A)+log(A)|")
-    return a.memo(fn, lambda: NumberSet(fn.apply(q) for q in a))
+    return a.memo(fn, lambda: _image(fn, a))
+
+
+def _image(fn: ConvexFn, a: NumberSet) -> NumberSet:
+    t, d = a.ints, a.denom
+    if fn.kind in ("square", "power"):
+        k = fn.k if fn.kind == "power" else 2
+        image = [v ** k for v in t]
+        # an odd power, or an even one of nonnegative values, keeps the order and distinctness
+        return _from_ints(sorted(set(image)) if k % 2 == 0 and t[0] < 0 else image, d ** k)
+    if fn.kind == "reciprocal" and 0 not in t:
+        m = lcm(*t)
+        return _from_ints(sorted(d * (m // v) for v in t), m)
+    if fn.kind == "exp2" and d == 1 and -EXP2_BUDGET <= t[0] and t[-1] <= EXP2_BUDGET:
+        lo = min(t[0], 0)
+        return _from_ints([1 << (v - lo) for v in t], 1 << -lo)
+    return NumberSet(fn.apply(q) for q in a)  # raises the error of the first element f refuses

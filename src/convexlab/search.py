@@ -10,8 +10,11 @@ exact rational arithmetic.
 
 Moves either replace one element inside the window spanned by its neighbors
 or shift everything above a chosen gap, both rejecting proposals that break
-distinctness or positivity.  Acceptance uses exp(-delta/T) evaluated with
-30-digit decimals, so traces are bit-reproducible from the seed.
+distinctness or positivity.  A step stays on the (ints, denom) lattice from
+proposal to count: both moves are exact integers on Z/(2048 * denom), images
+are integer maps (`apply_fn`), and a set counted with itself is counted over
+its pairs i < j.  Acceptance uses exp(-delta/T) evaluated with 30-digit
+decimals, so traces are bit-reproducible from the seed.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ from .errors import DomainError, over_budget
 from .families import FamilySpec, generate
 from .functions import LOG, ConvexFn, apply_fn, fn_by_name
 from .seeding import derive_seed
-from .sets import PAIR_BUDGET, NumberSet, count_pairs
+from .sets import PAIR_BUDGET, NumberSet, _from_ints, count_pairs
 
 # The theorem chain whose final ratio each objective normalizes
 OBJECTIVE_CHAINS = {"T1ratio": "T1", "T2ratio": "T2", "diffProdRatio": "T1", "sumProdRatio": "T2"}
@@ -166,25 +169,25 @@ def _initial_set(cfg: SearchConfig, restart_seed: int) -> NumberSet:
 
 
 def _propose(rng: random.Random, a: NumberSet, move: str) -> NumberSet | None:
-    e = a.elements
+    scale = 2 * _WINDOW_STEPS  # both moves are exact on Z/(scale * a.denom) and keep the order
+    e = [v * scale for v in a.ints]
     n = len(e)
     if move == "element-replace":
         i = rng.randrange(n)
-        lo = e[i - 1] if i > 0 else e[0] / 2
+        lo = e[i - 1] if i > 0 else e[0] // 2
         hi = e[i + 1] if i < n - 1 else e[-1] + (e[-1] - e[-2])
         k = rng.randint(1, _WINDOW_STEPS - 1)
-        candidate = lo + (hi - lo) * Fraction(k, _WINDOW_STEPS)
-        if candidate <= 0 or candidate in a:
+        candidate = lo + (hi - lo) * k // _WINDOW_STEPS
+        if candidate <= 0 or candidate == e[i]:  # e[i] is the only element strictly between lo and hi
             return None
-        return NumberSet(tuple(e[:i]) + (candidate,) + tuple(e[i + 1:]))
+        return _from_ints(e[:i] + [candidate] + e[i + 1:], a.denom * scale)
     # gap-perturb: shift everything from index i by a fraction of gap i
     i = rng.randint(1, n - 1)
-    gap = e[i] - e[i - 1]
     k = rng.randint(0, _WINDOW_STEPS)
-    delta = gap * Fraction(2 * k - _WINDOW_STEPS, 2 * _WINDOW_STEPS)
+    delta = (e[i] - e[i - 1]) * (2 * k - _WINDOW_STEPS) // scale
     if delta == 0:
         return None
-    return NumberSet(tuple(e[:i]) + tuple(q + delta for q in e[i:]))
+    return _from_ints(e[:i] + [q + delta for q in e[i:]], a.denom * scale)
 
 
 def _accept(rng: random.Random, delta: Fraction, temp: Fraction) -> bool:
@@ -218,7 +221,8 @@ def _run_restart(cfg: SearchConfig, restart: int, digits: int) -> tuple[Fraction
             if _accept(rng, new_obj - cur_obj, temp):
                 current, cur_obj = proposal, new_obj
                 accepted = True
-                if (new_obj, proposal.elements) < (best_obj, best.elements):
+                if new_obj < best_obj or new_obj == best_obj and (  # ties: x / d < y / e iff x * e < y * d
+                        [v * best.denom for v in proposal.ints] < [v * proposal.denom for v in best.ints]):
                     best, best_obj = proposal, new_obj
         trace.append({
             "restart": restart,

@@ -32,18 +32,19 @@ sorted keys only when read (`_Representatives`), which then drop them.
 
 All other counts (* on wide lattices, wider lattices, small counts), and all
 counts without numpy, run in pure Python on exact ints, with the same result.
-Counts above PAIR_BUDGET pairs fail before they start.
+There a set counted with itself is counted over its pairs i < j alone, and
+its histogram is built when read.  Counts above PAIR_BUDGET pairs fail
+before they start.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product, starmap
+from itertools import combinations, product, starmap
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 from weakref import ref
 
 from .errors import EmptyInputError, ParseError, over_budget
@@ -96,9 +97,9 @@ class NumberSet:
     __slots__ = ("ints", "denom", "_elements", "_memo", "__weakref__")
 
     def __init__(self, values: Iterable = ()):
-        fracs = {v if isinstance(v, Fraction) else Fraction(v) for v in values}
-        denom = lcm(*(q.denominator for q in fracs))
-        self._init(sorted(q.numerator * (denom // q.denominator) for q in fracs), denom)
+        pairs = [(v if isinstance(v, Fraction) else Fraction(v)).as_integer_ratio() for v in values]
+        denom = lcm(*(d for _, d in pairs))
+        self._init(sorted({n * (denom // d) for n, d in pairs}), denom)
 
     def _init(self, ints, denom: int) -> None:
         self.ints: tuple[int, ...] = tuple(ints)
@@ -117,14 +118,6 @@ class NumberSet:
 
     def __iter__(self):
         return iter(self.elements)
-
-    def __contains__(self, value) -> bool:
-        q = value if isinstance(value, Fraction) else Fraction(value)
-        if self.denom % q.denominator:
-            return False
-        v = q.numerator * (self.denom // q.denominator)
-        i = bisect_left(self.ints, v)
-        return i < len(self.ints) and self.ints[i] == v
 
     def __getitem__(self, i) -> Fraction:
         return self.elements[i]
@@ -186,11 +179,12 @@ class PairCounts:
 
     `spectrum` maps each multiplicity to the number of values carrying it, so
     the number of values, the size of the combination set, is its total.
-    `histogram` is a Counter on the Python path; on the numpy paths it is
-    built on first read (`_Representatives`), so energies and `len`, which
-    read only the spectrum, never build the values.  A kept count whose
-    values repeat more than 8 times on average builds them at once: as
-    Python ints they take about 46 bytes each, less than 8 bytes a pair.
+    `histogram` is a Counter on the Python path for two sets; for a set with
+    itself (over i < j) and on the numpy paths it is built on first read
+    (`_Representatives`), so energies and `len`, which read only the
+    spectrum, never build the values.  A kept count whose values repeat
+    more than 8 times on average builds them at once: as Python ints they
+    take about 46 bytes each, less than 8 bytes a pair.
     """
 
     denom: int
@@ -248,7 +242,7 @@ def count_pairs(a: NumberSet, b: NumberSet, op: str) -> PairCounts:
     else:
         denom = lcm(a.denom, b.denom)
         ia, ib = a.scaled(denom), b.scaled(denom)
-    counter = _python_counts
+    counter = python = _triangle_counts if a is b else _python_counts
     if len(ia) * len(ib) >= NUMPY_MIN_PAIRS:
         mx, my = max(-ia[0], ia[-1]), max(-ib[0], ib[-1])
         if (mx * my if op == "*" else mx + my) < INT64_SAFE:
@@ -258,12 +252,35 @@ def count_pairs(a: NumberSet, b: NumberSet, op: str) -> PairCounts:
     try:
         return counter(ia, ib, op, denom)
     except ImportError:
-        return _python_counts(ia, ib, op, denom)
+        return python(ia, ib, op, denom)
 
 
 def _python_counts(ia, ib, op: str, denom: int) -> PairCounts:
     counts = Counter(starmap(OPERATORS[op], product(ia, ib)))
     return PairCounts(denom, Counter(counts.values()), counts)
+
+
+def _triangle_counts(ia, ib, op: str, denom: int) -> PairCounts:
+    """Count x op y over A x A (`ib` is `ia`) from the n(n-1)/2 pairs i < j alone.
+
+    Each x_i - x_j < 0 stands for itself and its negation, and 0 for the n
+    diagonal pairs.  Each x_i + x_j or x_i * x_j counts twice, and the diagonal
+    x op x is merged in by a Counter, since (-x)^2 == x^2.
+    """
+    half = Counter(starmap(OPERATORS[op], combinations(ia, 2)))
+    diag = Counter({0: len(ia)} if op == "-" else map(OPERATORS[op], ia, ia))
+    for v in diag.keys() & half.keys():  # a diagonal value that off-diagonal pairs give too (never for -)
+        diag[v] += 2 * half.pop(v)
+    spectrum, (copies, weight) = Counter(diag.values()), ((2, 1) if op == "-" else (1, 2))
+    for m, t in Counter(half.values()).items():
+        spectrum[weight * m] += copies * t
+
+    def build():
+        if op == "-":
+            return [*half, *map(neg, half), *diag], [*half.values(), *half.values(), *diag.values()]
+        return [*half, *diag], [*map((2).__mul__, half.values()), *diag.values()]
+
+    return PairCounts(denom, spectrum, _Representatives(build))
 
 
 def _numpy_counts(ia, ib, op: str, denom: int) -> PairCounts:
@@ -387,7 +404,7 @@ def _pair_values(ia, ib, op: str, pairs) -> list[int]:
 
 
 class _Representatives:
-    """The histogram of a numpy count, built by `build` on first read; the sort buffer it holds then goes."""
+    """The histogram of a numpy or self count, built by `build` on first read; what `build` holds then goes."""
 
     __slots__ = ("_build", "_columns")
 

@@ -208,6 +208,41 @@ def test_incidence_report_digests(case, tmp_path, monkeypatch, capsys):
     assert hashlib.sha256((tmp_path / "out.txt").read_bytes()).hexdigest() == GOLDEN_INCIDENCES[case]
 
 
+# sha256 of whole `search --seed 3 --output` reports at n = 24, keyed (objective, fn, moves, start):
+# 200 annealing steps grow the denominators far past int64
+SEARCH_STARTS = {
+    "geo": {"kind": "geometric", "ratio": "2"},
+    "AP": {"kind": "AP", "start": "1", "step": "1"},
+    "rconvex": {"kind": "random-convex"},
+}
+SEARCH_MOVES = {"replace": ["element-replace"], "shift": ["gap-perturb"], "both": ["element-replace", "gap-perturb"]}
+GOLDEN_SEARCHES = {
+    ("T1ratio", "square", "replace", "geo"): "1b9224b152da72e9ba7d32986b8d4848fcf4b93f7dbadc0b94c3f68233e45078",
+    ("T1ratio", "reciprocal", "shift", "AP"): "d0073885626ab25075d71cee4bbee26588d99d0fe97dbb5e58774472d7e187cb",
+    ("T1ratio", "power:3", "both", "rconvex"): "ae2c33e4b6e5bccb9ce5d89c1757108884a00c1c4f24222546dbe1028014fd50",
+    ("T2ratio", "power:3", "replace", "rconvex"): "54c2b6d5edfe4cbd1060d99262a3a2c75caf0589abf765833dfd09801cf3ed5d",
+    ("T2ratio", "square", "shift", "geo"): "efde30d4a6803327b60a3405bccc89014358e3e969ac88aedba48b046ddf907f",
+    ("T2ratio", "reciprocal", "replace", "AP"): "265fdcdab0d09137710d06123e37ac1aca4dba0fae47abf17b08f0789869a758",
+    ("diffProdRatio", "square", "shift", "rconvex"): "022ff7b4b9d6e29244c7f8d1831b5e88ec9d4425eda2fc0117fc7fc24262de2a",
+    ("diffProdRatio", "square", "replace", "geo"): "dd97d1239b08b1870f825e1157922921d986e6324400a8426026aa5afd756555",
+    ("sumProdRatio", "square", "replace", "AP"): "fc490a1891adb08bfc5f032cb3e2c9ba4cdfd2ec7b82677e025ac33f7b552a8d",
+    ("sumProdRatio", "square", "shift", "geo"): "dfd9f17ca04d322b63210c7149fb866d719973d709b81d783a78929dc6211b2b",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SEARCHES), ids="-".join)
+def test_search_report_digests(case, tmp_path, capsys):
+    objective, fn, moves, start = case
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "objective": objective, "set_size": 24, "iterations": 200, "fn": fn, "initial": SEARCH_STARTS[start],
+        "move_set": SEARCH_MOVES[moves],
+    }))
+    out = tmp_path / "out.txt"
+    assert run(["search", "--config", str(config), "--seed", "3", "--output", str(out)], capsys)[0] == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SEARCHES[case]
+
+
 class TestIncidence:
     def test_parabola(self, set_file, capsys):
         a = set_file("a.txt", [0, 1, 2])

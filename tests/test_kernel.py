@@ -23,7 +23,7 @@ from convexlab.families import FamilySpec, generate
 from convexlab.functions import EXP2, EXP2_BUDGET, POWER_BUDGET, SQUARE, apply_fn, fn_by_name
 from convexlab.radicals import RadicalSum
 from convexlab.sets import P1, P2, P3, PAIR_BUDGET, NumberSet, pair_counts, sumset, write_set_file
-from oracles import naive_rep, quadruple_energy
+from oracles import naive_rep, quadruple_energy, quadruple_energy_sum_form
 
 sets = importlib.import_module("convexlab.sets")
 MODES = {"+": "sum", "-": "difference", "*": "product"}
@@ -34,9 +34,9 @@ WITH_FIXTURE = settings(suppress_health_check=[HealthCheck.too_slow, HealthCheck
 
 @pytest.fixture
 def paths(monkeypatch):
-    """Record which path each count takes: "numpy", "residue" or "python"."""
+    """Record which path each count takes: "numpy", "residue", "python" or "triangle" (a set with itself)."""
     ran = []
-    for name in ("numpy", "residue", "python"):
+    for name in ("numpy", "residue", "python", "triangle"):
         original = getattr(sets, f"_{name}_counts")
 
         def recording(*args, _name=name, _original=original):
@@ -87,6 +87,44 @@ def test_both_paths_match_the_oracles(path, threshold, paths, a, b):
         assert energy(a, b) == energy(a, b, via="sum") == quadruple_energy(a, b)
         assert report.E3 == sum(c ** 3 for c in delta.values())
         assert report.E15 == sum((RadicalSum({c: c}) for c in delta.values()), RadicalSum())
+    finally:
+        sets.NUMPY_MIN_PAIRS = saved
+
+
+SELF_COUNTED = st.one_of(
+    number_sets(max_size=10, max_num=30, max_den=4),  # mixed signs, often holding 0
+    number_sets(min_size=1, max_size=1),
+    number_sets(max_size=6, max_num=30, max_den=4).map(lambda a: NumberSet([*a, 0, *(-q for q in a)])),
+    st.builds(lambda s, d, n: NumberSet(range(s, s + d * n, d)), st.integers(-12, 12), st.integers(1, 4),
+              st.integers(1, 16)),  # progressions: heavy multiplicities, and (-x)^2 == x^2 when they cross 0
+    st.lists(st.integers(-2 ** 100, 2 ** 100), min_size=1, max_size=10, unique=True).map(
+        lambda v: NumberSet(Fraction(x, 2 ** 100 + 1) for x in v)),  # 100-bit lattices
+)
+
+
+@pytest.mark.parametrize("op", "+-*")
+@WITH_FIXTURE
+@given(SELF_COUNTED)
+def test_self_count_over_the_triangle_matches_the_full_count(op, paths, a):
+    """A set counted with itself is counted over i < j; an equal but distinct set counts all n^2 pairs."""
+    saved, sets.NUMPY_MIN_PAIRS = sets.NUMPY_MIN_PAIRS, 1 << 60
+    paths.clear()
+    try:
+        want = naive_rep(a, a, MODES[op])
+        own, full = sets.count_pairs(a, a, op), sets.count_pairs(a, NumberSet(a.elements), op)
+        kept = pair_counts(a, a, op)
+        assert paths == ["triangle", "python", "triangle"]
+        for pc in (own, full, kept):
+            assert histogram(pc) == want
+            assert pc.spectrum == Counter(want.values())
+            assert len(pc) == len(want)
+            assert pc.to_set() == NumberSet(want)
+        if op != "*":
+            via = "difference" if op == "-" else "sum"
+            assert energy(a, a, via=via) == quadruple_energy(a, a) == quadruple_energy_sum_form(a, a)
+        else:
+            report = energy_report(a)
+            assert report.E3 == sum(c ** 3 for c in naive_rep(a, a, "difference").values())
     finally:
         sets.NUMPY_MIN_PAIRS = saved
 

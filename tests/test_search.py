@@ -1,13 +1,16 @@
 import hashlib
+import random
 import threading
 from fractions import Fraction
 
 import pytest
 
 from convexlab.errors import BudgetError, DomainError
-from convexlab.families import FamilySpec
+from convexlab.families import FamilySpec, generate
 from convexlab.search import (
+    MOVES,
     SearchConfig,
+    _propose,
     extremal_search,
     normalization_constant,
     normalization_exponents,
@@ -151,3 +154,68 @@ class TestSearch:
         start = extremal_search(cfg(iterations=0, seed=9))
         out = extremal_search(c)
         assert out.best_objective <= start.best_objective
+
+
+def fraction_propose(rng, a, move):
+    """Both moves in Fraction arithmetic on the elements: the reference for the moves on the lattice."""
+    e = a.elements
+    n = len(e)
+    if move == "element-replace":
+        i = rng.randrange(n)
+        lo = e[i - 1] if i > 0 else e[0] / 2
+        hi = e[i + 1] if i < n - 1 else e[-1] + (e[-1] - e[-2])
+        k = rng.randint(1, 1023)
+        candidate = lo + (hi - lo) * Fraction(k, 1024)
+        if candidate <= 0 or candidate in e:
+            return None
+        return NumberSet(e[:i] + (candidate,) + e[i + 1:])
+    i = rng.randint(1, n - 1)
+    gap = e[i] - e[i - 1]
+    k = rng.randint(0, 1024)
+    delta = gap * Fraction(2 * k - 1024, 2048)
+    if delta == 0:
+        return None
+    return NumberSet(e[:i] + tuple(q + delta for q in e[i:]))
+
+
+PROPOSAL_STARTS = [
+    NumberSet(2 ** i for i in range(24)),
+    generate(FamilySpec("random-convex", 24, seed=3)),
+    NumberSet(range(1, 6)),  # an AP: a midpoint candidate can equal the element it replaces
+    NumberSet([Fraction(-5, 3), -1, 0, Fraction(2, 7), 7, 30]),  # a candidate can be nonpositive
+    NumberSet([1, 2]),
+]
+
+
+@pytest.mark.parametrize("move", MOVES)
+def test_lattice_moves_match_the_fraction_formula(move):
+    """1,000 seeded draws, walking 100 accepted moves from each start, so denominators grow past int64:
+    the same sets, the same rejections and the same random draws as the Fraction formula."""
+    rng, reference = random.Random(7), random.Random(7)
+    for draw in range(1000):
+        if draw % 100 == 0:
+            a = PROPOSAL_STARTS[draw // 100 % len(PROPOSAL_STARTS)]
+        got, want = _propose(rng, a, move), fraction_propose(reference, a, move)
+        assert got == want
+        assert rng.getstate() == reference.getstate()
+        a = got or a
+    assert a.denom.bit_length() > 64
+
+
+class Midpoint(random.Random):
+    """Draws the middle of every randint range: k = 512 is a rejection for both moves."""
+
+    def randint(self, lo, hi):
+        return (lo + hi) // 2
+
+
+@pytest.mark.parametrize("move", MOVES)
+def test_lattice_moves_reject_like_the_fraction_formula(move):
+    """A zero shift always; a candidate equal to the element it replaces in the AP, unless it replaces the first."""
+    rejected = []
+    for a in PROPOSAL_STARTS:
+        for seed in range(20):
+            got = _propose(Midpoint(seed), a, move)
+            assert got == fraction_propose(Midpoint(seed), a, move)
+            rejected.append(got is None)
+    assert all(rejected) if move == "gap-perturb" else any(rejected)

@@ -1,11 +1,12 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import number_sets, rationals
-from convexlab.errors import DomainError, EmptyInputError, ParseError
-from convexlab.functions import LOG, RECIPROCAL, SQUARE, apply_fn, power_fn
+from convexlab.errors import ConvexLabError, DomainError, EmptyInputError, ParseError
+from convexlab.functions import EXP2_BUDGET, LOG, RECIPROCAL, SQUARE, apply_fn, fn_by_name, power_fn
 from convexlab.sets import (
     NumberSet,
     difference_set,
@@ -46,6 +47,22 @@ class TestScalars:
         with pytest.raises(ParseError) as err:
             parse_set_text("1\nnot-a-number\n", source="s")
         assert "s:2" in str(err.value)
+
+    # Fraction() and int() disagree on some of these, and Fraction() itself differs across Python versions
+    @pytest.mark.parametrize("spelling", [
+        "7", "-3/2", "3 / 4", "3/-4", "-3/4", "1/0", "0/5", "1_000", "1__0", "+5", "+-5", ".5", "5.", "1e3",
+        "-2.5E-3", "1/2/3", "0x10", "٣", "٣/٤", "\u00a07/8\u00a0", "\u00a0-1.5", "inf", "nan", "1/2.0", "2e",
+    ])
+    def test_parse_set_text_reads_what_fraction_reads(self, spelling):
+        text = f"# header\n1\n{spelling}\n4/2\n"
+        try:
+            want = NumberSet([Fraction(1), Fraction(spelling.strip()), Fraction(2)])
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(ParseError) as err:
+                parse_set_text(text, source="s")
+            assert err.value.line == 3
+            return
+        assert parse_set_text(text, source="s") == want
 
 
 class TestNumberSet:
@@ -143,6 +160,43 @@ class TestApplyFn:
 
     def test_power(self):
         assert apply_fn(power_fn(3), nset(1, 2, 3)) == nset(1, 8, 27)
+
+    CATALOG = ["square", "power:2", "power:3", "power:4", "power:5", "reciprocal", "exp2"]
+    EDGES = [
+        [-3, -2, -1, 0, 1, 2, 5],  # square and power:4 collide on +-1 and +-2
+        [Fraction(-1, 2), Fraction(1, 2), Fraction(-1, 3), 0],
+        [-7, -1, 1],
+        [-EXP2_BUDGET, 0, 3, EXP2_BUDGET],
+        [-EXP2_BUDGET - 1, 2],  # exp2: budget error
+        [3, EXP2_BUDGET + 1],
+        [Fraction(1, 2), EXP2_BUDGET + 1],  # exp2: the first element refused names the error
+        [-EXP2_BUDGET - 1, Fraction(1, 2)],
+    ]
+
+    def assert_image_matches(self, name, a):
+        fn = fn_by_name(name)
+        try:
+            want = NumberSet(fn.apply(q) for q in a)
+        except ConvexLabError as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                apply_fn(fn, a)
+            return
+        assert apply_fn(fn, a) == want
+
+    @pytest.mark.parametrize("name", CATALOG)
+    @pytest.mark.parametrize("values", EDGES)
+    def test_lattice_image_edges(self, name, values):
+        self.assert_image_matches(name, NumberSet(values))
+
+    @pytest.mark.parametrize("name", CATALOG)
+    @given(st.one_of(
+        number_sets(max_size=10, max_num=40, max_den=6),
+        number_sets(max_size=6, max_num=40, max_den=6).map(lambda a: NumberSet([*a, *(-q for q in a)])),
+        st.lists(st.integers(-60, 60), min_size=1, max_size=10).map(NumberSet),
+        number_sets(max_size=6, max_num=10 ** 30, max_den=10 ** 30),
+    ))
+    def test_lattice_image_matches_the_fraction_image(self, name, a):
+        self.assert_image_matches(name, a)
 
     @given(number_sets(min_size=1, max_size=12))
     def test_injective_on_valid_domains(self, a):
