@@ -9,9 +9,9 @@ evaluator, `_value`, reads the quantities from a per-call `Quantities` memo,
 so every set, moment and cross energy is computed once per audit, and
 multiplies integer powers out exactly; fractional ones make a power_product.
 
-"<=" rows are DECIDED: exact PASS/FAIL verdicts via compare_radical, on both
-sides raised to the lcm of the row's exponent denominators (3 for the E_1.5
-bridge: a radical sum against an integer).  "<<" rows are REPORT_ONLY bounds
+"<=" rows are DECIDED: exact PASS/FAIL verdicts via compare_radical on the
+very LHS and RHS the report renders (for the E_1.5 bridge, a radical sum
+against a power product with cube roots).  "<<" rows are REPORT_ONLY bounds
 with an implied constant: never pass/fail, they carry the exact ratio
 LHS/RHS, regression-pinned against committed fixtures.
 
@@ -39,7 +39,6 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from .comparison import (
     LADDER,
@@ -53,7 +52,6 @@ from .comparison import (
 from .energy import energy, energy_report
 from .errors import AuditFailure, DomainError, EmptyInputError
 from .functions import LOG, ConvexFn, apply_fn
-from .radicals import RadicalSum
 from .sets import NumberSet, PairCounts, pair_counts
 
 PASS, FAIL, REPORT_ONLY = "PASS", "FAIL", "REPORT_ONLY"
@@ -168,17 +166,16 @@ def _factors(text: str, roles: dict[str, str]) -> tuple[tuple[tuple, Fraction], 
     return tuple(factors)
 
 
-def _value(q: Quantities, factors: tuple, power: int = 1):
-    """prod(quantity ** (e * power)) over a side's factors.
+def _value(q: Quantities, factors: tuple):
+    """prod(quantity ** e) over a side's factors.
 
-    Integer powers multiply out exactly; a RadicalSum only on an unraised side,
-    since E15(X)^6 would expand term by term.  The remaining factors, with that
-    exact product as one more, make a power_product.
+    Integer powers multiply out exactly; the fractional ones, with that exact
+    product as one more factor, make a power_product.
     """
     exact, rest = 1, []
     for quantity, e in factors:
-        base, e = q.value(quantity), e * power
-        if e.denominator == 1 and (power == 1 or not isinstance(base, RadicalSum)):
+        base = q.value(quantity)
+        if e.denominator == 1:
             exact = base ** e.numerator * exact if e > 0 else exact / Fraction(base) ** -e.numerator
         else:
             rest.append((base, e))
@@ -288,9 +285,7 @@ def _evaluate(row: Step, q: Quantities, flags: tuple[str, ...] = (), digits: int
     if row.kind == REPORT_ONLY:
         verdict = REPORT_ONLY
     else:
-        power = lcm(*(e.denominator for _, e in row.lhs + row.rhs))
-        decided = (lhs, rhs) if power == 1 else (_value(q, row.lhs, power), _value(q, row.rhs, power))
-        verdict = PASS if compare_radical(*decided) <= 0 else FAIL
+        verdict = PASS if compare_radical(lhs, rhs) <= 0 else FAIL
         flags = ()
     return AuditReport(
         name=row.name,

@@ -63,13 +63,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def cmd_stats(args) -> int:
     a = read_set_file(args.input)
     report = energy_report(a)  # its delta_A histogram also gives |A-A|
-    digits = args.precision
+    e15 = report.e15_decimal(args.precision)
     sizes = {"size": len(a), **combination_sizes(a)}
     payload = {
         **_header(args, input=args.input),
         "sizes": sizes,
         "energy": report.to_json_dict(),
-        "E15Decimal": report.e15_decimal(digits),
+        "E15Decimal": e15,
     }
     _emit(args, _dump(payload) + "\n")
     _note(f"|A| = {sizes['size']}  |A+A| = {sizes['sumset']}  |A-A| = {sizes['diffset']}")
@@ -77,7 +77,7 @@ def cmd_stats(args) -> int:
         _note(f"|A*A| = {sizes['prodset']}")
     else:
         _note("|A*A| skipped: set has nonpositive elements")
-    _note(f"E = {report.E}  E3 = {report.E3}  E1.5 = {report.e15_decimal(digits)}")
+    _note(f"E = {report.E}  E3 = {report.E3}  E1.5 = {e15}")
     return 0
 
 
@@ -108,6 +108,8 @@ def _fixture_breaches(fixtures_path: str, key: str, chain) -> list[dict]:
 
 
 def cmd_audit(args) -> int:
+    if args.fixtures and not args.fixture_key:
+        raise ValueError("--fixtures needs --fixture-key <theorem>/<family>/n=<size>, e.g. T2/squares/n=16")
     a = read_set_file(args.input)
     c = read_set_file(args.cset) if args.cset else None
     fn = theorem_fn(args.theorem, fn_by_name(args.fn))
@@ -123,8 +125,7 @@ def cmd_audit(args) -> int:
     lines.extend(chain.to_json_lines())
     status = 0
     if args.fixtures:
-        key = args.fixture_key or f"{chain.theorem}/{fn.name}/n={len(a)}"
-        breaches = _fixture_breaches(args.fixtures, key, chain)
+        breaches = _fixture_breaches(args.fixtures, args.fixture_key, chain)
         lines.extend(breaches)
         if breaches:
             status = AUDIT_ERROR
@@ -176,19 +177,18 @@ def cmd_search(args) -> int:
         data["seed"] = args.seed
     cfg = SearchConfig.from_json_dict(data)
     outcome = extremal_search(cfg, digits=args.precision)
+    best = outcome.best_objective_decimal(args.precision)
     lines = [_header(args, seed=args.seed or 0, config=cfg.to_json_dict())]
     lines.extend(outcome.traces)
     lines.append({
         "type": "result",
-        "bestObjective": outcome.best_objective_decimal(args.precision),
+        "bestObjective": best,
         "bestSet": [format_scalar(q) for q in outcome.best_set],
     })
     _emit(args, "\n".join(_dump(l) for l in lines) + "\n")
     if args.best_set:
-        write_set_file(args.best_set, outcome.best_set,
-                       header=f"best set, objective {outcome.best_objective_decimal(args.precision)}")
-    _note(f"best objective {outcome.best_objective_decimal(args.precision)} "
-          f"after {cfg.iterations} iterations x {cfg.restarts} restarts")
+        write_set_file(args.best_set, outcome.best_set, header=f"best set, objective {best}")
+    _note(f"best objective {best} after {cfg.iterations} iterations x {cfg.restarts} restarts")
     return 0
 
 
@@ -209,7 +209,7 @@ def build_parser() -> _Parser:
                    help="square | power:k | reciprocal | exp2 | log-as-product")
     p.add_argument("--cset", default=None, help="optional C set file (default C = f(A))")
     p.add_argument("--fixtures", default=None, help="chain fixture file to check the ratios against")
-    p.add_argument("--fixture-key", default=None)
+    p.add_argument("--fixture-key", default=None, help="the fixture entry, <theorem>/<family>/n=<size>")
     _add_common(p)
 
     p = sub.add_parser("incidence", help="point-curve incidence instance")

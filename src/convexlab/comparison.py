@@ -236,7 +236,7 @@ def fraction_to_decimal(q: Fraction, digits: int = 30, rounding: str = ROUND_HAL
     return str(d)
 
 
-def decimal_of(v, digits: int = 30, rounding: str = ROUND_HALF_EVEN) -> str:
+def decimal_of(v, digits: int = 30) -> str:
     """Deterministic decimal rendering of a nonnegative expression.
 
     A zero-width enclosure is the exact value and renders once.  Otherwise
@@ -252,8 +252,8 @@ def decimal_of(v, digits: int = 30, rounding: str = ROUND_HALF_EVEN) -> str:
     prec = LADDER[0]
     while True:
         lo, hi = value_bounds(v, prec)
-        text = fraction_to_decimal(lo, digits, rounding)
-        if lo == hi or text == fraction_to_decimal(hi, digits, rounding):
+        text = fraction_to_decimal(lo, digits)
+        if lo == hi or text == fraction_to_decimal(hi, digits):
             return text
         if prec >= LADDER[-1] and (hi - lo) * (10 ** digits << 32) < lo:
             return text

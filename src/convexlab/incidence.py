@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import chain
 from math import lcm
 
-from .comparison import decimal_of, fraction_to_decimal, root_bounds
+from .comparison import fraction_to_decimal, root_bounds
 from .energy import level_set_count
 from .errors import EmptyInputError
 from .functions import ConvexFn, apply_fn
@@ -132,7 +132,7 @@ def st_bound_decimal(points: int, curves: int, digits: int = 30) -> str:
     """Decimal (round-up) rendering of 4(PL)^(2/3) + 4P + L."""
     pl = points * curves
     _, cbrt_hi = root_bounds(Fraction(pl * pl), 3, 192)
-    return decimal_of(4 * cbrt_hi + 4 * points + curves, digits, ROUND_CEILING)
+    return fraction_to_decimal(4 * cbrt_hi + 4 * points + curves, digits, ROUND_CEILING)
 
 
 @dataclass(frozen=True)

@@ -210,6 +210,7 @@ def _run_restart(cfg: SearchConfig, restart: int, digits: int) -> tuple[Fraction
     current = _initial_set(cfg, seed)
     cur_obj = objective_core(cfg.objective, current, fn) * norm
     best, best_obj = current, cur_obj
+    cur_text = best_text = fraction_to_decimal(cur_obj, digits)  # re-rendered only when the value changes
     trace: list[dict] = []
     temp = cfg.temp_initial
     for it in range(cfg.iterations):
@@ -220,16 +221,17 @@ def _run_restart(cfg: SearchConfig, restart: int, digits: int) -> tuple[Fraction
             new_obj = objective_core(cfg.objective, proposal, fn) * norm
             if _accept(rng, new_obj - cur_obj, temp):
                 current, cur_obj = proposal, new_obj
+                cur_text = fraction_to_decimal(cur_obj, digits)
                 accepted = True
                 if new_obj < best_obj or new_obj == best_obj and (  # ties: x / d < y / e iff x * e < y * d
                         [v * best.denom for v in proposal.ints] < [v * proposal.denom for v in best.ints]):
-                    best, best_obj = proposal, new_obj
+                    best, best_obj, best_text = proposal, new_obj, cur_text
         trace.append({
             "restart": restart,
             "iteration": it,
-            "objective": fraction_to_decimal(cur_obj, digits),
+            "objective": cur_text,
             "accepted": accepted,
-            "best": fraction_to_decimal(best_obj, digits),
+            "best": best_text,
         })
         temp *= cfg.temp_decay
     return best_obj, best, trace

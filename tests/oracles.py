@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from math import isqrt
 
 
 def naive_sumset(a, b) -> set[Fraction]:
@@ -164,3 +165,61 @@ def _reciprocal_irrational_roots_on_branch(qa, qb, qc, b1, b2) -> int:
         if vl * vr < 0:
             count += 1
     return count
+
+
+def naive_moment(a, k: int) -> int:
+    """sum_s delta_A(s)^k: E(A) at k = 2, E_3(A) at k = 3."""
+    return sum(r ** k for r in naive_rep(a, a, "difference").values())
+
+
+def naive_cross_energy(a, b) -> int:
+    """E(A, B) = sum_s delta_{A,B}(s)^2."""
+    return sum(r * r for r in naive_rep(a, b, "difference").values())
+
+
+def compare_e15_power(a, power: int, scale: int, bound: int) -> int:
+    """Sign of E_1.5(A)^power * scale - bound, for integers power >= 1 and scale, bound >= 0.
+
+    E_1.5(A) = sum_s delta_A(s)^(3/2).  At precision k, the sum of
+    isqrt(r^3 * 4^k) is at most 2^k E_1.5 and falls short of it by less than
+    the number of non-square r^3; k doubles until this enclosure decides.  For
+    |A| >= 2 the two extreme differences add the integer 2, so an irrational
+    E_1.5 has irrational powers and the loop ends.
+    """
+    cubes = [r ** 3 for r in naive_rep(a, a, "difference").values()]
+    inexact = sum(1 for c in cubes if isqrt(c) ** 2 != c)
+    k = 64
+    while True:
+        lo = sum(isqrt(c << 2 * k) for c in cubes)
+        target = bound << power * k
+        if (lo + inexact) ** power * scale < target:
+            return -1
+        if lo ** power * scale > target:
+            return 1
+        if not inexact:
+            return 0
+        k *= 2
+
+
+def holder_holds(a) -> bool:
+    """|A|^6 <= E_1.5(A)^2 |A-A|."""
+    return compare_e15_power(a, 2, len(naive_difference(a, a)), len(a) ** 6) >= 0
+
+
+def raised_bridge_holds(x, y) -> bool:
+    """E15(X)^2 |Y|^2 <= E3(X)^(2/3) E3(Y)^(1/3) E(X, X+Y), decided on both sides cubed.
+
+    That is E15(X)^6 |Y|^6 <= E3(X)^2 E3(Y) E(X, X+Y)^3, whose right side is an integer.
+    """
+    rhs = naive_moment(x, 3) ** 2 * naive_moment(y, 3) * naive_cross_energy(x, naive_sumset(x, y)) ** 3
+    return compare_e15_power(x, 6, len(y) ** 6, rhs) <= 0
+
+
+def cauchy_schwarz_holds(x, y, s) -> bool:
+    """|X|^2 |Y|^2 <= E(X, Y) |S| for S = X+Y or X-Y."""
+    return len(x) ** 2 * len(y) ** 2 <= naive_cross_energy(x, y) * len(s)
+
+
+def cauchy_schwarz_split_holds(x, y) -> bool:
+    """E(X, Y)^2 <= E(X) E(Y)."""
+    return naive_cross_energy(x, y) ** 2 <= naive_moment(x, 2) * naive_moment(y, 2)

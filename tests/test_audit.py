@@ -5,10 +5,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import number_sets
-from oracles import naive_difference, naive_sumset
+from conftest import number_sets, rationals
+from oracles import (
+    cauchy_schwarz_holds,
+    cauchy_schwarz_split_holds,
+    holder_holds,
+    naive_difference,
+    naive_sumset,
+    raised_bridge_holds,
+)
+from convexlab import comparison
 from convexlab.audit import (
     CHAINS,
     DECIDED,
@@ -25,6 +33,7 @@ from convexlab.audit import (
     clamped_log2,
     corollary_e3a_ratios,
 )
+from convexlab.comparison import compare_radical
 from convexlab.errors import AuditFailure, DomainError
 from convexlab.functions import LOG, RECIPROCAL, SQUARE, power_fn
 from convexlab.families import FamilySpec, generate
@@ -300,6 +309,69 @@ class TestDerivedFinals:
         }
         for which, value in expected.items():
             assert audit_theorem(which, SQUARE, a).final_ratio_exact == value
+
+
+def audit_sets(max_size=8):
+    """Any rational sets (mixed signs), singletons, sets holding 0, and APs."""
+    aps = st.builds(lambda start, step, n: NumberSet(start + step * i for i in range(n)),
+                    rationals(), st.fractions(Fraction(1, 100), 100, max_denominator=100), st.integers(1, max_size))
+    with_zero = number_sets(min_size=0, max_size=max_size - 1).map(lambda a: NumberSet((*a, Fraction(0))))
+    return st.one_of(number_sets(min_size=1, max_size=1), number_sets(max_size=max_size), with_zero, aps)
+
+
+def decided_on_printed_values(report, holds):
+    """The verdict is the oracle's, and it is exactly the comparison of the stored LHS and RHS."""
+    assert report.verdict == (PASS if holds else FAIL)
+    assert (compare_radical(report.lhs_value, report.rhs_value) <= 0) == (report.verdict == PASS)
+
+
+class TestDecidedRows:
+    """Each "<=" row is decided on the LHS and RHS it prints, as the raised-sides oracle decides it."""
+
+    @given(audit_sets(), audit_sets())
+    def test_lemma_holder_and_cauchy_schwarz(self, a, b):
+        decided_on_printed_values(check_holder(a), holder_holds(a))
+        decided_on_printed_values(check_lemma_e15(a, b), raised_bridge_holds(a, b))
+        (r,) = check_cauchy_schwarz(a, "sum")
+        decided_on_printed_values(r, cauchy_schwarz_holds(a, a, naive_sumset(a, a)))
+        (r,) = check_cauchy_schwarz(a, "diff")
+        decided_on_printed_values(r, cauchy_schwarz_holds(a, a, naive_difference(a, a)))
+        sumset_row, split_row = check_cauchy_schwarz(a, "cross", b)
+        decided_on_printed_values(sumset_row, cauchy_schwarz_holds(a, b, naive_sumset(a, b)))
+        decided_on_printed_values(split_row, cauchy_schwarz_split_holds(a, b))
+
+    @given(audit_sets().map(lambda a: NumberSet(abs(v) for v in a)))  # the square chains' domain
+    def test_chain_rows(self, a):
+        fa, minus_a = nset(*(v * v for v in a)), nset(*(-v for v in a))
+        oracles = {
+            "T1": {"holder_lower": holder_holds(a), "e15_bridge": raised_bridge_holds(a, minus_a)},
+            "T2": {"cs_sum": cauchy_schwarz_holds(a, a, naive_sumset(a, a)),
+                   "e15_bridge": raised_bridge_holds(a, a)},
+            "T3": {"cs_cross_sumset": cauchy_schwarz_holds(a, fa, naive_sumset(a, fa)),
+                   "cs_cross_split": cauchy_schwarz_split_holds(a, fa),
+                   "e15_bridge": raised_bridge_holds(a, fa),
+                   "e15_bridge_image": raised_bridge_holds(fa, a)},
+        }
+        for which, holds in oracles.items():
+            decided = [r for r in audit_theorem(which, SQUARE, a).steps if r.verdict != REPORT_ONLY]
+            assert [r.name for r in decided] == list(holds)
+            for report in decided:
+                decided_on_printed_values(report, holds[report.name])
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.fractions(0, 10 ** 6, max_denominator=10 ** 6), st.fractions(-(10 ** 6), 10 ** 6, max_denominator=10 ** 6))
+    def test_equality_cases_decided_at_the_first_rung(self, monkeypatch, u, v):
+        def structural(*_):
+            raise AssertionError("an equality reached the structural check")
+
+        monkeypatch.setattr(comparison, "_cleared_radical_pair", structural)
+        a = nset(u)
+        reports = [check_holder(a), check_lemma_e15(a, nset(v))]
+        reports += [r for which in ("T1", "T2", "T3") for r in audit_theorem(which, SQUARE, a).steps
+                    if r.name.startswith(("holder", "e15_bridge"))]
+        for report in reports:
+            assert report.verdict == PASS and report.ratio == "1"
+            assert compare_radical(report.lhs_value, report.rhs_value) == 0
 
 
 class TestFailureMechanics:

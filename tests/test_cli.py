@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from convexlab.cli import main
+from convexlab.corpus import DEFAULT_FIXTURES_DIR
 from convexlab.families import FamilySpec, generate
 from convexlab.sets import NumberSet, read_set_file, write_set_file
 
@@ -125,13 +126,31 @@ class TestAudit:
         key = "T1/square/n=8"
         good = tmp_path / "good.json"
         good.write_text(json.dumps({"chains": {key: {"finalRatio": chain["finalRatio"], "steps": steps}}}))
-        code, _, _ = run(["audit", "--input", path, "--theorem", "T1", "--fixtures", str(good)], capsys)
+        code, _, _ = run(["audit", "--input", path, "--theorem", "T1", "--fixtures", str(good),
+                          "--fixture-key", key], capsys)
         assert code == 0
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"chains": {key: {"finalRatio": "1e-9", "steps": {}}}}))
-        code, out, err = run(["audit", "--input", path, "--theorem", "T1", "--fixtures", str(bad)], capsys)
+        code, out, err = run(["audit", "--input", path, "--theorem", "T1", "--fixtures", str(bad),
+                              "--fixture-key", key], capsys)
         assert code == 2
         assert any(json.loads(l).get("type") == "regression" for l in out.splitlines())
+
+    def test_readme_fixture_example(self, tmp_path, capsys):
+        path = tmp_path / "A.txt"
+        write_set_file(path, generate(FamilySpec("squares", 16)))
+        fixtures = str(DEFAULT_FIXTURES_DIR / "chain_ratios.json")
+        code, out, _ = run(["audit", "--input", str(path), "--theorem", "T2", "--fixtures", fixtures,
+                            "--fixture-key", "T2/squares/n=16"], capsys)
+        assert code == 0
+        assert all(json.loads(l)["type"] != "regression" for l in out.splitlines())
+
+    def test_fixtures_need_a_key(self, tmp_path, capsys):
+        missing = str(tmp_path / "never-read.txt")  # exits before any file is read
+        code, out, err = run(["audit", "--input", missing, "--theorem", "T2",
+                              "--fixtures", str(DEFAULT_FIXTURES_DIR / "chain_ratios.json")], capsys)
+        assert code == 1 and out == ""
+        assert "--fixture-key" in err and "<theorem>/<family>/n=<size>" in err
 
     def test_custom_cset(self, set_file, capsys):
         a = set_file("a.txt", list(range(1, 9)))
