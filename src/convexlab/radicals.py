@@ -129,17 +129,11 @@ class RadicalSum:
 
     def bounds(self, prec: int) -> tuple[Fraction, Fraction]:
         """Enclosing rational interval with absolute radical error < len(terms)/2**prec."""
-        scale = 1 << prec
-        lo = hi = Fraction(0)
+        lo = hi = 0  # numerators over 2**prec
         for d, c in self.terms.items():
-            if d == 1:
-                lo += c
-                hi += c
-            else:
-                r = isqrt(d << (2 * prec))
-                lo += Fraction(c * r, scale)
-                hi += Fraction(c * (r + 1), scale)
-        return lo, hi
+            r = isqrt(d << (2 * prec))
+            lo, hi = lo + c * r, hi + c * (r if d == 1 else r + 1)
+        return Fraction(lo, 1 << prec), Fraction(hi, 1 << prec)
 
     def to_json(self) -> dict[str, str]:
         return {str(d): str(self.terms[d]) for d in sorted(self.terms)}

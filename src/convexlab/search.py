@@ -5,16 +5,17 @@ e.g.  diffProdRatio = max{|A*A|, |A-A|} * (log2 n)^(2/11) / n^(14/11),
 with the exponents read from the chain's derived final ratio.  The set size
 is fixed during a run, so the irrational normalization is a per-run constant
 (a 100-bit dyadic approximation, fixed convention: upper bound of the log
-power over lower bound of the size power) and objective comparisons are
-exact rational arithmetic.
+power over lower bound of the size power).  The run compares the integer
+cores (`objective_core`), which order as the objectives do; the constant is
+applied only to the acceptance delta and to the rendered values.
 
 Moves either replace one element inside the window spanned by its neighbors
 or shift everything above a chosen gap, both rejecting proposals that break
 distinctness or positivity.  A step stays on the (ints, denom) lattice from
 proposal to count: both moves are exact integers on Z/(2048 * denom), images
-are integer maps (`apply_fn`), and a set counted with itself is counted over
-its pairs i < j.  Acceptance uses exp(-delta/T) evaluated with 30-digit
-decimals, so traces are bit-reproducible from the seed.
+are integer maps (`apply_fn`), and a set counted with itself is sized over
+its pairs i <= j (i < j for -).  Acceptance uses exp(-delta/T) evaluated
+with 30-digit decimals, so traces are bit-reproducible from the seed.
 """
 from __future__ import annotations
 
@@ -127,10 +128,11 @@ def normalization_constant(objective: str, n: int) -> Fraction:
 
 
 def objective_core(objective: str, a: NumberSet, fn: ConvexFn) -> int:
-    """The integer part of the objective: the larger of two pair-histogram sizes.
+    """The integer part of the objective: the larger of two combination-set sizes.
 
-    Each annealing step reads a new set once, so the histograms are not kept
-    on it: `current` and `best` would hold them for the rest of the run.
+    Each annealing step reads a new set once, so its counts are not kept on
+    it (`current` and `best` would hold them for the rest of the run), and
+    only their sizes are read, which the pure-Python paths count as sets.
     """
     if objective in ("diffProdRatio", "sumProdRatio"):
         LOG.require_audit_domain(a)
@@ -190,9 +192,10 @@ def _propose(rng: random.Random, a: NumberSet, move: str) -> NumberSet | None:
     return _from_ints(e[:i] + [q + delta for q in e[i:]], a.denom * scale)
 
 
-def _accept(rng: random.Random, delta: Fraction, temp: Fraction) -> bool:
-    if delta <= 0:
+def _accept(rng: random.Random, delta: int, norm: Fraction, temp: Fraction) -> bool:
+    if delta <= 0:  # the cores' change: the objective's is delta * norm
         return True
+    delta *= norm
     u = rng.random()
     with localcontext() as ctx:
         ctx.prec = 30
@@ -202,15 +205,14 @@ def _accept(rng: random.Random, delta: Fraction, temp: Fraction) -> bool:
         return Decimal(u) < threshold
 
 
-def _run_restart(cfg: SearchConfig, restart: int, digits: int) -> tuple[Fraction, NumberSet, list[dict]]:
+def _run_restart(cfg: SearchConfig, restart: int, digits: int, norm: Fraction) -> tuple[int, NumberSet, list[dict]]:
     seed = derive_seed(cfg.seed, f"restart:{restart}")
     rng = random.Random(seed)
     fn = fn_by_name(cfg.fn_name)
-    norm = normalization_constant(cfg.objective, cfg.set_size)
     current = _initial_set(cfg, seed)
-    cur_obj = objective_core(cfg.objective, current, fn) * norm
-    best, best_obj = current, cur_obj
-    cur_text = best_text = fraction_to_decimal(cur_obj, digits)  # re-rendered only when the value changes
+    cur_core = objective_core(cfg.objective, current, fn)
+    best, best_core = current, cur_core
+    cur_text = best_text = fraction_to_decimal(cur_core * norm, digits)  # re-rendered only when the value changes
     trace: list[dict] = []
     temp = cfg.temp_initial
     for it in range(cfg.iterations):
@@ -218,14 +220,14 @@ def _run_restart(cfg: SearchConfig, restart: int, digits: int) -> tuple[Fraction
         proposal = _propose(rng, current, move)
         accepted = False
         if proposal is not None:
-            new_obj = objective_core(cfg.objective, proposal, fn) * norm
-            if _accept(rng, new_obj - cur_obj, temp):
-                current, cur_obj = proposal, new_obj
-                cur_text = fraction_to_decimal(cur_obj, digits)
+            new_core = objective_core(cfg.objective, proposal, fn)
+            if _accept(rng, new_core - cur_core, norm, temp):
+                current, cur_core = proposal, new_core
+                cur_text = fraction_to_decimal(cur_core * norm, digits)
                 accepted = True
-                if new_obj < best_obj or new_obj == best_obj and (  # ties: x / d < y / e iff x * e < y * d
+                if new_core < best_core or new_core == best_core and (  # ties: x / d < y / e iff x * e < y * d
                         [v * best.denom for v in proposal.ints] < [v * proposal.denom for v in best.ints]):
-                    best, best_obj, best_text = proposal, new_obj, cur_text
+                    best, best_core, best_text = proposal, new_core, cur_text
         trace.append({
             "restart": restart,
             "iteration": it,
@@ -234,7 +236,7 @@ def _run_restart(cfg: SearchConfig, restart: int, digits: int) -> tuple[Fraction
             "best": best_text,
         })
         temp *= cfg.temp_decay
-    return best_obj, best, trace
+    return best_core, best, trace
 
 
 def extremal_search(cfg: SearchConfig, digits: int = 30) -> SearchOutcome:
@@ -244,7 +246,8 @@ def extremal_search(cfg: SearchConfig, digits: int = 30) -> SearchOutcome:
     outcome.  The merge takes the best objective with the lexicographically
     smallest set as tie-break.
     """
-    results = [_run_restart(cfg, i, digits) for i in range(cfg.restarts)]
-    best_obj, best, _ = min(results, key=lambda r: (r[0], r[1].elements))
+    norm = normalization_constant(cfg.objective, cfg.set_size)
+    results = [_run_restart(cfg, i, digits, norm) for i in range(cfg.restarts)]
+    best_core, best, _ = min(results, key=lambda r: (r[0], r[1].elements))
     traces = tuple(t for _, _, trace in results for t in trace)
-    return SearchOutcome(config=cfg, best_set=best, best_objective=best_obj, traces=traces)
+    return SearchOutcome(config=cfg, best_set=best, best_objective=best_core * norm, traces=traces)

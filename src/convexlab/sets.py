@@ -16,7 +16,7 @@ chosen from the inputs before the count starts; it is imported then.  Both
 sort one 64-bit key per pair in place.  A key no other pair shares is a value
 of multiplicity 1, so the spectrum is read from the runs of repeated keys
 alone (`_repeated_runs`), and the values and their counts are built from the
-sorted keys only when read (`_Representatives`), which then drop them.
+sorted keys only when read (`PairCounts`), which then drops the keys.
 
 * Where int64 is proven (max|x| + max|y| < 2**62 for + and -, max|x| * max|y|
   < 2**62 for *), the key is the value itself.
@@ -32,17 +32,19 @@ sorted keys only when read (`_Representatives`), which then drop them.
 
 All other counts (* on wide lattices, wider lattices, small counts), and all
 counts without numpy, run in pure Python on exact ints, with the same result.
-There a set counted with itself is counted over its pairs i < j alone, and
-its histogram is built when read.  Counts above PAIR_BUDGET pairs fail
-before they start.
+There a count builds nothing until read: `len` alone is the size of a set
+of pair values, and the first read of the spectrum or the values makes the
+one pass that counts multiplicities.  A set counted with itself is counted
+over its pairs i < j alone.  `pair_counts` reads the spectrum at once, so a
+kept count read for sizes and moments alike makes one pass.  Counts above
+PAIR_BUDGET pairs fail before they start.
 """
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product, starmap
+from itertools import combinations, combinations_with_replacement, product, starmap
 from math import gcd, lcm
 from operator import add, mul, neg, sub
 from weakref import ref
@@ -173,30 +175,44 @@ def _from_ints(ints: list[int], denom: int) -> NumberSet:
     return ns
 
 
-@dataclass(frozen=True, eq=False)
 class PairCounts:
-    """Histogram of x op y over A x B: each value v of `histogram` stands for v / denom.
+    """Histogram of x op y over A x B, each value v standing for v / denom, built in two stages.
 
     `spectrum` maps each multiplicity to the number of values carrying it, so
-    the number of values, the size of the combination set, is its total.
-    `histogram` is a Counter on the Python path for two sets; for a set with
-    itself (over i < j) and on the numpy paths it is built on first read
-    (`_Representatives`), so energies and `len`, which read only the
-    spectrum, never build the values.  A kept count whose values repeat
-    more than 8 times on average builds them at once: as Python ints they
-    take about 46 bytes each, less than 8 bytes a pair.
+    the number of values, the size of the combination set, is its total.  The
+    first read of it calls `count`, which gives it and the builder of the
+    (values, counts) columns; the first read of those (`items`, `to_set`)
+    calls the builder.  Each stage drops what built it.  Before the spectrum
+    is read, `len` is `size()` where a path gives one (the pure-Python paths
+    count a set of pair values, without multiplicities, at each read).  So
+    energies and `len` never build the values.  A kept count whose values
+    repeat more than 8 times on average builds them at once: as Python ints
+    they take about 46 bytes each, less than 8 bytes a pair.
     """
 
-    denom: int
-    spectrum: dict[int, int]
-    histogram: Counter | _Representatives
+    __slots__ = ("denom", "_next", "_size", "_spectrum", "_columns")
+
+    def __init__(self, denom: int, count, size=None):
+        self.denom, self._next, self._size, self._spectrum, self._columns = denom, count, size, None, None
+
+    @property
+    def spectrum(self) -> dict[int, int]:
+        if self._spectrum is None:
+            (self._spectrum, self._next), self._size = self._next(), None
+        return self._spectrum
 
     def __len__(self) -> int:
-        return sum(self.spectrum.values())
+        return sum(self.spectrum.values()) if self._size is None else self._size()
+
+    def _read(self) -> tuple:
+        if self._columns is None:
+            self.spectrum  # which comes with the builder of the columns
+            self._columns, self._next = self._next(), None
+        return self._columns
 
     def items(self):
         """(value, count) pairs as Python ints."""
-        return self.histogram.items()
+        return zip(*self._read())
 
     def scaled(self, denom: int):
         """(value, count) pairs with the values on the lattice Z/denom, a multiple of `self.denom`."""
@@ -205,7 +221,7 @@ class PairCounts:
 
     def to_set(self) -> NumberSet:
         """The combination set itself: the support of the histogram."""
-        return _from_ints(sorted(self.histogram), self.denom)
+        return _from_ints(sorted(self._read()[0]), self.denom)
 
 
 def pair_counts(a: NumberSet, b: NumberSet, op: str) -> PairCounts:
@@ -214,6 +230,7 @@ def pair_counts(a: NumberSet, b: NumberSet, op: str) -> PairCounts:
     hit = a._memo.get(key)
     if hit is None or hit[0]() is not b:  # the weak reference pins the id to b
         counts = count_pairs(a, b, op)
+        counts.spectrum  # one pass for the sizes and the moments that read a kept count
         if 8 * len(counts) < len(a) * len(b):  # the sort buffer would outweigh the values (PairCounts)
             counts.items()  # so build them now, which drops it
         hit = a._memo[key] = (ref(b, _forgetter(ref(a), key)), counts)
@@ -256,8 +273,11 @@ def count_pairs(a: NumberSet, b: NumberSet, op: str) -> PairCounts:
 
 
 def _python_counts(ia, ib, op: str, denom: int) -> PairCounts:
-    counts = Counter(starmap(OPERATORS[op], product(ia, ib)))
-    return PairCounts(denom, Counter(counts.values()), counts)
+    def count():
+        counts = Counter(starmap(OPERATORS[op], product(ia, ib)))
+        return Counter(counts.values()), lambda: (counts.keys(), counts.values())
+
+    return PairCounts(denom, count, lambda: len(set(starmap(OPERATORS[op], product(ia, ib)))))
 
 
 def _triangle_counts(ia, ib, op: str, denom: int) -> PairCounts:
@@ -265,22 +285,33 @@ def _triangle_counts(ia, ib, op: str, denom: int) -> PairCounts:
 
     Each x_i - x_j < 0 stands for itself and its negation, and 0 for the n
     diagonal pairs.  Each x_i + x_j or x_i * x_j counts twice, and the diagonal
-    x op x is merged in by a Counter, since (-x)^2 == x^2.
+    x op x is merged in by a Counter, since (-x)^2 == x^2.  The size alone is
+    that of a set: of the values over i <= j, or 2 |{x_i - x_j : i < j}| + 1.
     """
-    half = Counter(starmap(OPERATORS[op], combinations(ia, 2)))
-    diag = Counter({0: len(ia)} if op == "-" else map(OPERATORS[op], ia, ia))
-    for v in diag.keys() & half.keys():  # a diagonal value that off-diagonal pairs give too (never for -)
-        diag[v] += 2 * half.pop(v)
-    spectrum, (copies, weight) = Counter(diag.values()), ((2, 1) if op == "-" else (1, 2))
-    for m, t in Counter(half.values()).items():
-        spectrum[weight * m] += copies * t
+    f = OPERATORS[op]
 
-    def build():
+    def count():
+        half = Counter(starmap(f, combinations(ia, 2)))
+        diag = Counter({0: len(ia)} if op == "-" else map(f, ia, ia))
+        for v in diag.keys() & half.keys():  # a diagonal value that off-diagonal pairs give too (never for -)
+            diag[v] += 2 * half.pop(v)
+        spectrum, (copies, weight) = Counter(diag.values()), ((2, 1) if op == "-" else (1, 2))
+        for m, t in Counter(half.values()).items():
+            spectrum[weight * m] += copies * t
+
+        def build():
+            if op == "-":
+                return [*half, *map(neg, half), *diag], [*half.values(), *half.values(), *diag.values()]
+            return [*half, *diag], [*map((2).__mul__, half.values()), *diag.values()]
+
+        return spectrum, build
+
+    def size():
         if op == "-":
-            return [*half, *map(neg, half), *diag], [*half.values(), *half.values(), *diag.values()]
-        return [*half, *diag], [*map((2).__mul__, half.values()), *diag.values()]
+            return 2 * len(set(starmap(f, combinations(ia, 2)))) + 1
+        return len(set(starmap(f, combinations_with_replacement(ia, 2))))
 
-    return PairCounts(denom, spectrum, _Representatives(build))
+    return PairCounts(denom, count, size)
 
 
 def _numpy_counts(ia, ib, op: str, denom: int) -> PairCounts:
@@ -296,7 +327,8 @@ def _numpy_counts(ia, ib, op: str, denom: int) -> PairCounts:
         starts, counts = _runs(v[1:] != v[:-1])
         return v[starts].tolist(), counts.tolist()
 
-    return PairCounts(denom, _spectrum(len(v), lengths), _Representatives(build))
+    spectrum = _spectrum(len(v), lengths)
+    return PairCounts(denom, lambda: (spectrum, build))
 
 
 def _residue_counts(ia, ib, op: str, denom: int) -> PairCounts:
@@ -339,7 +371,7 @@ def _residue_counts(ia, ib, op: str, denom: int) -> PairCounts:
         values = _pair_values(ia, ib, op, keys[starts[rest]] & PAIR_MASK)
         return values + list(exact), counts[rest].tolist() + list(exact.values())
 
-    return PairCounts(denom, spectrum, _Representatives(build))
+    return PairCounts(denom, lambda: (spectrum, build))
 
 
 def _disagreeing_runs(ia, ib, sign: int, keys, starts, lengths, checks):
@@ -401,26 +433,6 @@ def _pair_values(ia, ib, op: str, pairs) -> list[int]:
     """x op y of each pair index i * len(ib) + j, as Python ints."""
     rows, cols = divmod(pairs, len(ib))
     return list(map(OPERATORS[op], map(ia.__getitem__, rows.tolist()), map(ib.__getitem__, cols.tolist())))
-
-
-class _Representatives:
-    """The histogram of a numpy or self count, built by `build` on first read; what `build` holds then goes."""
-
-    __slots__ = ("_build", "_columns")
-
-    def __init__(self, build):
-        self._build, self._columns = build, None
-
-    def _read(self) -> tuple[list[int], list[int]]:
-        if self._columns is None:
-            self._columns, self._build = self._build(), None
-        return self._columns
-
-    def items(self):
-        return zip(*self._read())
-
-    def __iter__(self):
-        return iter(self._read()[0])
 
 
 def sumset(a: NumberSet, b: NumberSet) -> NumberSet:

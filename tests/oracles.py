@@ -223,3 +223,16 @@ def cauchy_schwarz_holds(x, y, s) -> bool:
 def cauchy_schwarz_split_holds(x, y) -> bool:
     """E(X, Y)^2 <= E(X) E(Y)."""
     return naive_cross_energy(x, y) ** 2 <= naive_moment(x, 2) * naive_moment(y, 2)
+
+
+def per_term_bounds(terms: dict[int, int], prec: int) -> tuple[Fraction, Fraction]:
+    """sum_d c_d sqrt(d) enclosed term by term: floor(sqrt(d) 2**prec) / 2**prec and that plus 1/2**prec,
+    each a Fraction added to a Fraction sum (exact for d == 1)."""
+    lo = hi = Fraction(0)
+    for d, c in terms.items():
+        if d == 1:
+            lo, hi = lo + c, hi + c
+        else:
+            r = isqrt(d << (2 * prec))
+            lo, hi = lo + Fraction(c * r, 2 ** prec), hi + Fraction(c * (r + 1), 2 ** prec)
+    return lo, hi

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import number_sets
 from convexlab.audit import audit_theorem, check_cauchy_schwarz, check_holder, check_lemma_e15
@@ -32,6 +32,11 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 WITH_FIXTURE = settings(suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 
 
+def needs_numpy() -> None:
+    """Skip unless numpy imports; any ImportError skips, so a blocked numpy import skips as a missing numpy does."""
+    pytest.importorskip("numpy", exc_type=ImportError)
+
+
 @pytest.fixture
 def paths(monkeypatch):
     """Record which path each count takes: "numpy", "residue", "python" or "triangle" (a set with itself)."""
@@ -44,6 +49,21 @@ def paths(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(sets, f"_{name}_counts", recording)
+    return ran
+
+
+@pytest.fixture
+def pair_passes(monkeypatch):
+    """Record every pass the pure-Python paths make over pairs, as the name of the pair iterator."""
+    ran = []
+    for name in ("product", "combinations", "combinations_with_replacement"):
+        original = getattr(sets, name)
+
+        def recording(*args, _name=name, _original=original):
+            ran.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(sets, name, recording)
     return ran
 
 
@@ -71,7 +91,7 @@ def histogram(pc):
 def test_both_paths_match_the_oracles(path, threshold, paths, a, b):
     """Denominators up to 12 keep every value inside int64, so the threshold alone picks the path."""
     if path == "numpy":
-        pytest.importorskip("numpy")
+        needs_numpy()
     saved, sets.NUMPY_MIN_PAIRS = sets.NUMPY_MIN_PAIRS, threshold
     paths.clear()
     try:
@@ -129,6 +149,43 @@ def test_self_count_over_the_triangle_matches_the_full_count(op, paths, a):
         sets.NUMPY_MIN_PAIRS = saved
 
 
+def assert_sizes_read_alike(count, want):
+    """`len` alone, `len` before the spectrum and `len` after it agree with the oracle's, on three fresh counts
+    from `count()`; the spectrum and the values read after `len` are the oracle's too."""
+    alone, first, after = count(), count(), count()
+    assert len(alone) == len(want)
+    assert len(first) == len(want)
+    assert first.spectrum == Counter(want.values())
+    assert len(first) == len(want)
+    assert histogram(first) == want
+    assert after.spectrum == Counter(want.values())
+    assert len(after) == len(want)
+
+
+@pytest.mark.parametrize("path, threshold", [("numpy", 0), ("python", 1 << 60)])
+@WITH_FIXTURE
+@given(number_sets(max_size=7, max_num=10 ** 4, max_den=12), number_sets(max_size=7, max_num=10 ** 4, max_den=12))
+# negatives, 0, an equal copy, and diagonal values that other pairs give too: 1 + 3 == 2 + 2, (-2)(-2) == 2 * 2
+@example(NumberSet([1, 2, 3]), NumberSet([-2, 2]))
+@example(NumberSet([1, 2, 3]), NumberSet([1, 2, 3]))
+@example(NumberSet([-3, -1, 0, 1, 3]), NumberSet([-2, 0, 2]))
+@example(NumberSet([Fraction(-1, 2), 0, Fraction(1, 3), 2]), NumberSet([0]))
+@example(NumberSet([-5]), NumberSet([-3, -1, 0, 2]))
+def test_size_without_the_spectrum_matches_the_oracles(path, threshold, paths, a, b):
+    """Self and cross counts of + - *, with len read before the spectrum, after it, and alone."""
+    if path == "numpy":
+        needs_numpy()
+    saved, sets.NUMPY_MIN_PAIRS = sets.NUMPY_MIN_PAIRS, threshold
+    paths.clear()
+    try:
+        for x, y in ((a, b), (a, a), (b, b)):
+            for op, mode in MODES.items():
+                assert_sizes_read_alike(lambda: sets.count_pairs(x, y, op), naive_rep(x, y, mode))
+        assert set(paths) == ({"numpy"} if path == "numpy" else {"triangle", "python"})
+    finally:
+        sets.NUMPY_MIN_PAIRS = saved
+
+
 BOUNDARY = [
     # (op, A, B, path): just below the int64 bound runs numpy; at the bound + and -
     # count residues (the lattice is far narrower than P1 * P2 * P3) and * runs Python
@@ -149,7 +206,7 @@ BOUNDARY = [
 
 @pytest.mark.parametrize("op, xs, ys, expected", BOUNDARY)
 def test_int64_boundary(op, xs, ys, expected, paths, monkeypatch):
-    pytest.importorskip("numpy")
+    needs_numpy()
     monkeypatch.setattr(sets, "NUMPY_MIN_PAIRS", 1)
     a, b = NumberSet(xs), NumberSet(ys)
     pc = pair_counts(a, b, op)
@@ -165,7 +222,7 @@ WIDE = Fraction(-(10 ** 19))
 @given(number_sets(max_size=7, max_num=10 ** 30, max_den=64), number_sets(max_size=7, max_num=10 ** 30, max_den=64))
 def test_residue_path_matches_the_oracles(paths, a, b):
     """Above int64, + and - count residues while hi - lo < P1 * P2 * P3 and run Python beyond it."""
-    pytest.importorskip("numpy")
+    needs_numpy()
     saved, sets.NUMPY_MIN_PAIRS = sets.NUMPY_MIN_PAIRS, 0
     paths.clear()
     try:
@@ -230,7 +287,7 @@ FORCED = [
 def test_forced_residue_collisions_settle_exactly(p1, p2, xs, ys, settled_by, paths, settles, monkeypatch):
     """With a tiny P1, distinct values share residues; each count is still exact, and never reruns in
     Python.  With P2 = 11 too, values equal modulo 77 differ only modulo P3."""
-    pytest.importorskip("numpy")
+    needs_numpy()
     monkeypatch.setattr(sets, "NUMPY_MIN_PAIRS", 1)
     monkeypatch.setattr(sets, "P1", p1)
     monkeypatch.setattr(sets, "P2", p2)
@@ -248,7 +305,7 @@ def test_residue_path_heavy_multiplicities(paths, settles, start, step, n, sprea
     """Wide progressions repeat values up to n times under + and -, and A + A repeats each x + y as y + x:
     more repeated pairs than |A| + |B|, so their runs are checked modulo P2 and P3.  A - A of a spread-out
     set repeats little beyond 0, so Python counts its repeated pairs."""
-    pytest.importorskip("numpy")
+    needs_numpy()
     saved, sets.NUMPY_MIN_PAIRS = sets.NUMPY_MIN_PAIRS, 1
     try:
         ap, spread = NumberSet(range(start, start + step * n, step)), NumberSet([*spread, 1 << 140])
@@ -275,7 +332,7 @@ def numpy_bytes() -> int:
 def test_values_are_built_only_when_read(den, paths):
     """The battery's E(A, A+B) keeps no numpy array once it returns; its count holds one key per pair and
     no value array; a kept histogram drops that sort buffer once its values are read."""
-    pytest.importorskip("numpy")
+    needs_numpy()
     rng, slack = random.Random(7), 1 << 16
 
     def rationals(n):
@@ -308,7 +365,7 @@ def test_values_are_built_only_when_read(den, paths):
 def test_kept_heavy_count_holds_values_not_keys(offset, paths):
     """A kept count whose values repeat 8 times or more on average builds them at once and drops its
     sort buffer, which would outweigh them: an AP's A - A keeps 2n - 1 values, not n^2 keys."""
-    pytest.importorskip("numpy")
+    needs_numpy()
     ap = NumberSet(range(offset, offset + 256))
     tracemalloc.start()
     try:
@@ -330,7 +387,7 @@ POWERS = [1 << k for k in range(120)]
                                     ([0, *POWERS, *(-v for v in POWERS)], [0])], ids=["two", "powers"])
 def test_powers_of_two_count_on_residues(op, xs, ys, paths, monkeypatch):
     """Modulo 2**61 - 1, 2**k and 2**(k + 61) share a residue (-2**62 and -2 do); modulo P1 no two of +-2**k do."""
-    pytest.importorskip("numpy")
+    needs_numpy()
     monkeypatch.setattr(sets, "NUMPY_MIN_PAIRS", 1)
     a, b = NumberSet(xs), NumberSet(ys)
     pc = pair_counts(a, b, op)
@@ -344,7 +401,7 @@ def test_powers_of_two_count_on_residues(op, xs, ys, paths, monkeypatch):
        st.integers(2, 30))
 def test_int64_path_heavy_multiplicities(paths, s0, d0, n0, s1, d1, n1):
     """Arithmetic progressions with 0 and negative elements repeat values many times under + - *."""
-    pytest.importorskip("numpy")
+    needs_numpy()
     saved, sets.NUMPY_MIN_PAIRS = sets.NUMPY_MIN_PAIRS, 1
     paths.clear()
     try:
@@ -391,13 +448,15 @@ def test_memo_entry_dies_with_the_right_operand(builds):
 
 
 class TestBuildsOnce:
-    def test_stats_builds_delta_once(self, builds, tmp_path, capsys):
+    def test_stats_builds_delta_once(self, builds, pair_passes, tmp_path, capsys):
+        """|A-A| and the moments read one delta_A; each of the three counts passes over its pairs once."""
         path = tmp_path / "a.txt"
         path.write_text("".join(f"{i * i}\n" for i in range(1, 13)))
         assert main(["stats", "--input", str(path)]) == 0
         a = tuple(i * i for i in range(1, 13))
         assert builds.count((a, a, "-")) == 1
         assert len(builds) == len(set(builds)) == 3
+        assert pair_passes == ["combinations"] * 3
         assert json.loads(capsys.readouterr().out)["sizes"]["diffset"] == len(
             NumberSet(x - y for x in a for y in a))
 
@@ -417,6 +476,19 @@ class TestBuildsOnce:
         fa = tuple(v * v for v in values["a"])
         assert sorted(builds) == sorted([(tuple(values["a"]), tuple(values["b"]), "+"),
                                          (fa, tuple(values["c"]), "+")])
+
+    @pytest.mark.parametrize("op", "+-*")
+    @pytest.mark.parametrize("cross", [False, True], ids=["self", "cross"])
+    def test_kept_count_passes_over_its_pairs_once(self, op, cross, pair_passes):
+        """A kept count read for its size and its spectrum, in either order, makes one pass over its pairs."""
+        a = NumberSet([-3, 0, 1, 4, 9])
+        b = NumberSet([-1, 2, 5]) if cross else a
+        pc = pair_counts(a, b, op)
+        size, spectrum = len(pc), pc.spectrum
+        assert (len(pc), pc.spectrum) == (size, spectrum)
+        assert pair_counts(a, b, op) is pc
+        assert pair_passes == ["product" if cross else "combinations"]
+        assert size == len(naive_rep(a, b, MODES[op])) and spectrum == Counter(naive_rep(a, b, MODES[op]).values())
 
     def test_energy_keeps_only_the_diagonal(self):
         """E(A, B) is read once, so its histogram is not kept; delta_A is, for |A-A| and the moments."""
@@ -510,7 +582,7 @@ def test_incidence_at_22_leaves_numpy_out(tmp_path):
 def test_battery_pair_counts_its_cross_energy_on_residues(monkeypatch):
     """Denominators up to 64 put a 64-element battery pair above int64, and each of its counts has
     4,096 pairs or more, so all run on residues: A-A, B-B, A+B, A-(A+B), A+A and the cross A-B."""
-    pytest.importorskip("numpy")
+    needs_numpy()
     seen, original = [], sets._residue_counts
 
     def recording(ia, ib, op, denom):

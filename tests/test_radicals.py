@@ -18,6 +18,7 @@ from convexlab.comparison import (
     root_bounds,
 )
 from convexlab.radicals import RadicalSum, squarefree_decompose
+from oracles import per_term_bounds
 
 
 class TestSquarefree:
@@ -66,6 +67,13 @@ class TestRadicalSum:
         assert float(lo) <= approx * (1 + 1e-12) + 1e-12
         assert approx * (1 - 1e-12) - 1e-12 <= float(hi)
         assert hi - lo <= Fraction(sum(x.terms.values()) + 1, 2 ** 80)
+
+    @given(st.dictionaries(st.integers(1, 10 ** 6), st.integers(0, 10 ** 30), max_size=14),
+           st.sampled_from([128, 256, 512, 1024, 2048, 4096]))
+    def test_bounds_equal_the_per_term_fraction_sum(self, terms, prec):
+        """One Fraction per end over the common 2**prec gives the enclosure the per-term sum gives."""
+        x = RadicalSum(terms)
+        assert x.bounds(prec) == per_term_bounds(x.terms, prec)
 
     def test_json_sorted(self):
         x = RadicalSum({3: 3}) + 6

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from convexlab import search, sets
 from convexlab.errors import BudgetError, DomainError
 from convexlab.families import FamilySpec, generate
 from convexlab.search import (
     MOVES,
+    OBJECTIVES,
     SearchConfig,
     _propose,
     extremal_search,
@@ -17,8 +19,8 @@ from convexlab.search import (
     objective_core,
     objective_value,
 )
-from convexlab.functions import SQUARE
-from convexlab.sets import NumberSet, difference_set, product_set
+from convexlab.functions import SQUARE, apply_fn
+from convexlab.sets import NumberSet, count_pairs, difference_set, product_set, sumset
 
 
 def cfg(**overrides):
@@ -56,6 +58,27 @@ class TestObjective:
         a = NumberSet([1, 2, 4, 8, 16, 32, 64, 100])
         core = objective_core("diffProdRatio", a, SQUARE)
         assert core == max(len(product_set(a, a)), len(difference_set(a, a)))
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_core_reads_sizes_alone(self, objective, monkeypatch):
+        """The core's counts are read for their sizes only: no spectrum is built and no multiplicity counted."""
+        counted = []
+
+        def recording(*args):
+            counted.append(count_pairs(*args))
+            return counted[-1]
+
+        monkeypatch.setattr(search, "count_pairs", recording)
+        monkeypatch.setattr(sets, "Counter", None)  # a multiplicity count would call it
+        a = NumberSet([1, 2, 3, 5, 8, Fraction(27, 2), 21])
+        core = objective_core(objective, a, SQUARE)
+        assert len(counted) == 2 and all(pc._spectrum is None for pc in counted)
+        monkeypatch.undo()
+        fa = apply_fn(SQUARE, a)
+        sizes = {"T1ratio": (sumset(fa, fa), difference_set(a, a)), "T2ratio": (sumset(fa, fa), sumset(a, a)),
+                 "diffProdRatio": (product_set(a, a), difference_set(a, a)),
+                 "sumProdRatio": (product_set(a, a), sumset(a, a))}
+        assert core == max(map(len, sizes[objective]))
 
     @pytest.mark.parametrize("objective", ["diffProdRatio", "sumProdRatio"])
     def test_product_objectives_need_positive_sets(self, objective):
