@@ -15,7 +15,7 @@ from fractions import Fraction
 from .comparison import fraction_to_decimal, log2_upper
 from .functions import ConvexFn, apply_fn
 from .seeding import derive_seed
-from .sets import NumberSet, combination_sizes, pair_counts
+from .sets import NumberSet, count_pairs
 
 CONVEX_KINDS = ("squares", "powers", "geometric", "random-convex")
 ALL_KINDS = ("AP",) + CONVEX_KINDS + ("random-uniform",)
@@ -114,8 +114,10 @@ def growth_scan(kind: str, fn: ConvexFn | None, sizes: list[int], seed: int = 0)
     series: dict[str, list[tuple[Fraction, Fraction]]] = {m: [] for m in _METRICS}
     for n in sizes:
         a = generate(FamilySpec(kind=kind, n=n, seed=seed))
-        values = combination_sizes(a)
-        values["a_plus_fa"] = None if fn is None else len(pair_counts(a, apply_fn(fn, a), "+"))
+        # sizes alone: each count is read once, so it is neither kept nor counted by multiplicity
+        values = {"sumset": len(count_pairs(a, a, "+")), "diffset": len(count_pairs(a, a, "-")),
+                  "prodset": len(count_pairs(a, a, "*")) if a.is_strictly_positive() else None,
+                  "a_plus_fa": None if fn is None else len(count_pairs(a, apply_fn(fn, a), "+"))}
         logn = log2_upper(n)
         slopes: dict[str, Fraction | None] = dict.fromkeys(_METRICS)
         for m, v in values.items():

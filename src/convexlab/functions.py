@@ -18,7 +18,7 @@ log (|A*A| reads as |log(A) + log(A)| only there), any A for exp2.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -67,35 +67,33 @@ class ConvexFn:
             return Fraction(2 ** e) if e >= 0 else Fraction(1, 2 ** (-e))
         raise DomainError("log is never evaluated numerically; route through product_set")
 
-    def on_lattice(self, d: int) -> Callable[[int], int | None]:
-        """The graph branch on the lattice Z/d: t -> d * f(t / d), None off the branch or the lattice.
+    def on_lattice(self, d: int) -> Callable[[Iterable[int]], dict[int, int]]:
+        """The graph branch on the lattice Z/d, a batch at a time: ts -> {d * f(t / d): t}.
 
-        The branch is t >= 0 for square and power, t > 0 for reciprocal, and every
-        t for exp2, whose value is rational only at integers; exp2 keeps the
-        budget of `apply`.
+        Only the t on the branch whose value lies on the lattice are kept.  The branch
+        is t >= 0 for square and power, t > 0 for reciprocal, and every t for exp2,
+        whose value is rational only at integers.  f is injective on its branch, so
+        each value names one t.  exp2 keeps the budget of `apply`: a batch raises if
+        any of its integer arguments is beyond it.
         """
         if self.kind in ("square", "power"):
             k = self.k if self.kind == "power" else 2
             dk = d ** (k - 1)
 
-            def f(t: int) -> int | None:
-                if t < 0:
-                    return None
-                p = t ** k
-                return None if p % dk else p // dk
+            def f(ts: Iterable[int]) -> dict[int, int]:
+                return {p // dk: t for t in ts if t >= 0 and not (p := t ** k) % dk}
         elif self.kind == "reciprocal":
             d2 = d * d
 
-            def f(t: int) -> int | None:
-                return d2 // t if t > 0 and not d2 % t else None
+            def f(ts: Iterable[int]) -> dict[int, int]:
+                return {d2 // t: t for t in ts if t > 0 and not d2 % t}
         elif self.kind == "exp2":
-            def f(t: int) -> int | None:
-                if t % d:
-                    return None  # irrational value, cannot meet a rational grid
-                e = _exp2_exponent(t // d)
-                if e >= 0:
-                    return d << e
-                return None if d % (1 << -e) else d >> -e
+            def f(ts: Iterable[int]) -> dict[int, int]:
+                ts = [t for t in ts if not t % d]  # off the integers the value is irrational
+                for e in (min(ts, default=0) // d, max(ts, default=0) // d):
+                    _exp2_exponent(e)
+                return {d << e if e >= 0 else d >> -e: t for t in ts
+                        if (e := t // d) >= 0 or not d % (1 << -e)}
         else:
             raise DomainError("log is never evaluated numerically; route through product_set")
         return f

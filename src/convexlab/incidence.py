@@ -6,20 +6,24 @@ convex branch of a catalog function, so any two curves intersect at most
 once and the incidence count obeys  I <= 4(PL)^(2/3) + 4P + L,  decided
 exactly on integers (cube the rearranged inequality).  Counting runs on the
 integer lattice Z/D of x, y, b and c: curve (b, c) passes through (x, y) iff
-f(x - b) = y - c, so the work is |X||B| evaluations of f, indexed by value, and
-|Y||C| lookups of y - c.  The counts read spectra (multiplicity -> how many
-points or sums carry it); rich points and the level-set lemmas share the rule
-`energy.level_set_count`.
+f(x - b) = y - c.  f is evaluated once per distinct x - b, and only the few
+values that are also some y - c are kept.  The points each such value reaches
+form a block, and points reached by the same values form classes, so the
+count adds one block per pair of classes, not one entry per incidence.  The
+counts read spectra (multiplicity -> how many points or sums carry it); rich
+points and the level-set lemmas share the rule `energy.level_set_count`.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import ROUND_CEILING
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count, repeat
 from math import lcm
+from operator import sub
 
 from .comparison import fraction_to_decimal, root_bounds
 from .energy import level_set_count
@@ -86,26 +90,57 @@ def build_instance(fn: ConvexFn, a: NumberSet, b: NumberSet, c: NumberSet) -> tu
     return grid, CurveFamily(fn=fn, b=b, c=c)
 
 
-def incidence_hits(grid: PointGrid, family: CurveFamily) -> Iterator[tuple[int, Counter]]:
-    """(y index, Counter of x index -> curves through (x, y)) for each y, counted on one integer lattice Z/D.
+def incidence_classes(grid: PointGrid, family: CurveFamily) -> Iterator[tuple[list[int], list[int], int]]:
+    """Disjoint blocks (x indices, y indices, m) of the grid: each point of a block lies on m >= 1 curves.
 
-    Curve (b, c) passes through (x, y) iff f(x - b) = y - c: w = D*f((x - b)/D) is computed
-    once per (x, b) by `ConvexFn.on_lattice` and indexed w -> [x index], and each (y, c) is one lookup.
+    Counted on one integer lattice Z/D.  Curve (b, c) passes through (x, y) iff f(x - b) = y - c = w,
+    for some w in W = f(X - B) & (Y - C); f is evaluated once per distinct x - b on its branch.  f is
+    injective there, so w names one t_w, and x meets w at most once, through the x-slice t_w + B, as y
+    does through the y-slice w + C.  A point lies on one curve per w in both signatures (the w whose
+    slices hold its x, its y), and the xs, and the ys, of one signature form a class.  Points in no
+    block lie on no curve.
     """
     d = lcm(grid.xs.denom, grid.ys.denom, family.b.denom, family.c.denom)
     xs, ys, bs, cs = (s.scaled(d) for s in (grid.xs, grid.ys, family.b, family.c))
-    f, at = family.fn.on_lattice(d), {}
-    for b in bs:
-        for xi, x in enumerate(xs):
-            if (w := f(x - b)) is not None:
-                at.setdefault(w, []).append(xi)
-    for yi, y in enumerate(ys):
-        yield yi, Counter(chain.from_iterable(at.get(y - c, ()) for c in cs))
+    whole = family.fn.kind == "exp2"  # every other branch starts at t = 0, so at x >= b
+    rows = (map(sub, xs[0 if whole else bisect_left(xs, b):], repeat(b)) for b in bs)
+    # one key per distinct x - b (a dict's table is denser than a set's), dropped once evaluated
+    t_of = family.fn.on_lattice(d)(dict.fromkeys(chain.from_iterable(rows)))
+    common = set()
+    for c in cs:
+        common.update(t_of.keys() & map(sub, ys, repeat(c)))
+    x_classes = _classes(xs, ((w, map(t_of[w].__add__, bs)) for w in common))
+    y_classes = _classes(ys, ((w, map(w.__add__, cs)) for w in common))
+    y_at: dict[int, list[int]] = {}
+    for j, sig in enumerate(y_classes):
+        for w in sig:
+            y_at.setdefault(w, []).append(j)
+    y_members = list(y_classes.values())
+    for sig, members in x_classes.items():  # one y class may share several of sig's values: meet it once
+        for j, m in Counter(chain.from_iterable(map(y_at.__getitem__, sig))).items():
+            yield members, y_members[j], m
+
+
+def _classes(points: list[int], slices) -> dict[tuple[int, ...], list[int]]:
+    """Signature -> indices of the points whose signature it is, from (w, candidate points of w's slice)."""
+    pos, sig = dict(zip(points, count())), {}
+    for w, candidates in slices:
+        for i in map(pos.__getitem__, filter(pos.__contains__, candidates)):
+            sig.setdefault(i, []).append(w)
+    classes = {}
+    for i, s in sig.items():
+        classes.setdefault(tuple(s), []).append(i)
+    return classes
 
 
 def count_incidences(grid: PointGrid, family: CurveFamily, taus: tuple[int, ...] = TAUS) -> IncidenceReport:
-    """Exact incidence count, rich-point histogram and the incidence-bound verdict, from one spectrum of the hits."""
-    times = Counter(chain.from_iterable(through.values() for _, through in incidence_hits(grid, family)))
+    """Exact incidence count, rich-point histogram and the incidence-bound verdict, from one spectrum.
+
+    The spectrum (curves through a point -> how many points) adds |x class| |y class| per class pair.
+    """
+    times = Counter()
+    for x_members, y_members, m in incidence_classes(grid, family):
+        times[m] += len(x_members) * len(y_members)
     incidences = sum(m * t for m, t in times.items())
     p, l = len(grid), len(family)
     return IncidenceReport(

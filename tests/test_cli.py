@@ -1,9 +1,15 @@
 import hashlib
 import json
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import convexlab
 from convexlab.cli import main
 from convexlab.corpus import DEFAULT_FIXTURES_DIR
 from convexlab.families import FamilySpec, generate
@@ -369,3 +375,29 @@ class TestRoundTrip:
         code, out, _ = run(["stats", "--input", a, "--output", str(out_path)], capsys)
         assert code == 0 and out == ""
         assert json.loads(out_path.read_text())["energy"]["E"] == "15"
+
+
+NUMPY_FREE_RUN = """
+import sys
+from convexlab.cli import main
+for fn in ("square", "power:3", "reciprocal", "exp2"):
+    sets = "int" if fn == "exp2" else "convex"
+    argv = ["incidence", "--input", f"{sets}-a.txt", "--bset", f"{sets}-b.txt", "--cset", f"{sets}-c.txt"]
+    assert main(argv + ["--fn", fn, "--output", "out.json"]) == 0
+assert main(["search", "--config", "cfg.json", "--output", "out.json"]) == 0
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+
+
+def test_incidence_and_search_never_import_numpy(tmp_path):
+    """At the benchmark's sizes every count stays below the numpy threshold, so the CLI never loads numpy."""
+    for j, part in enumerate("abc"):
+        write_set_file(tmp_path / f"convex-{part}.txt", generate(FamilySpec("random-convex", 22, seed=j)))
+        write_set_file(tmp_path / f"int-{part}.txt", NumberSet(random.Random(j).sample(range(1, 45), 22)))
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"objective": "diffProdRatio", "set_size": 24, "iterations": 10, "seed": 1}))
+    src = str(Path(convexlab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", NUMPY_FREE_RUN], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from convexlab import families, sets
 from convexlab.families import ALL_KINDS, CONVEX_KINDS, FamilySpec, generate, growth_scan, scan_to_tsv
-from convexlab.functions import SQUARE
-from convexlab.sets import NumberSet, difference_set, product_set, sumset
+from convexlab.functions import SQUARE, apply_fn
+from convexlab.sets import NumberSet, count_pairs, difference_set, product_set, sumset
 
 
 class TestGenerate:
@@ -91,6 +92,25 @@ class TestGrowthScan:
         res = growth_scan("AP", None, [4, 8])
         assert res.enr_min_sq == {}
         assert res.rows[0].prodset is None   # contains 0
+
+    def test_scan_reads_sizes_alone(self, monkeypatch):
+        """A pure-Python scan reads its counts for their sizes only: no spectrum is built and no multiplicity counted."""
+        counted = []
+
+        def recording(*args):
+            counted.append(count_pairs(*args))
+            return counted[-1]
+
+        monkeypatch.setattr(families, "count_pairs", recording)
+        monkeypatch.setattr(sets, "Counter", None)  # a multiplicity count would call it
+        res = growth_scan("random-convex", SQUARE, [4, 8, 16], seed=3)  # at most 256 pairs: pure Python
+        assert len(counted) == 12 and all(pc._spectrum is None for pc in counted)
+        monkeypatch.undo()
+        for row in res.rows:
+            a = generate(FamilySpec("random-convex", row.n, seed=3))
+            sizes = (len(sumset(a, a)), len(difference_set(a, a)), len(product_set(a, a)),
+                     len(sumset(a, apply_fn(SQUARE, a))))
+            assert (row.sumset, row.diffset, row.prodset, row.a_plus_fa) == sizes
 
     def test_sizes_validation(self):
         with pytest.raises(ValueError):

@@ -8,12 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import positive_number_sets
 from convexlab.cli import main
-from convexlab.errors import DomainError, EmptyInputError
+from convexlab.errors import BudgetError, DomainError, EmptyInputError
 from convexlab.functions import EXP2, EXP2_BUDGET, RECIPROCAL, SQUARE, power_fn
 from convexlab.incidence import (
     build_instance,
     count_incidences,
-    incidence_hits,
+    incidence_classes,
     lemma_st1_ratio,
     lemma_st2_ratio,
     st_bound_check,
@@ -162,8 +162,15 @@ def small_sets(elements):
 
 
 def hits_by_point(grid, family):
-    return {(grid.xs.elements[xi], grid.ys.elements[yi]): n
-            for yi, through in incidence_hits(grid, family) for xi, n in through.items()}
+    """The kernel's blocks expanded into curves through each point; no point may lie in two blocks."""
+    hits = {}
+    for x_members, y_members, m in incidence_classes(grid, family):
+        for xi in x_members:
+            for yi in y_members:
+                point = grid.xs.elements[xi], grid.ys.elements[yi]
+                assert point not in hits
+                hits[point] = m
+    return hits
 
 
 class TestLatticeKernel:
@@ -201,6 +208,8 @@ class TestLatticeKernel:
         hits = hits_by_point(grid, family)
         assert hits == naive_incidences(grid, family)[1]
         assert sum(hits.values()) >= len(a) * len(b) * len(c)
+        if fn is not RECIPROCAL:  # whose values 1/a meet no other curve on these APs
+            assert max(hits.values()) >= 2  # so some x class shares two or more values with some y class
 
     def test_exp2_values_in_one_hash_class_match_oracle(self):
         # CPython hashes ints modulo 2**61 - 1, so every curve value 2**(61 j) hashes to 1
@@ -210,6 +219,19 @@ class TestLatticeKernel:
             grid, family = build_instance(EXP2, a, b, c)
             assert {hash(2 ** (x - bb)) for x in grid.xs for bb in family.b if x >= bb} == {1}
             assert hits_by_point(grid, family) == naive_incidences(grid, family)[1]
+
+    @pytest.mark.parametrize("b", [nset(0, 16385), nset(-16385, 0), nset(0, Fraction(1, 2), 16385)])
+    def test_exp2_budget_fires_on_any_integer_difference(self, b):
+        # x - b = +-16385 lies beyond EXP2_BUDGET for some x in X = A + B and b in B
+        grid, family = build_instance(EXP2, nset(0), b, nset(0))
+        with pytest.raises(BudgetError, match="EXP2_BUDGET"):
+            count_incidences(grid, family)
+
+    def test_exp2_budget_spares_off_lattice_differences(self):
+        # every x - b beyond EXP2_BUDGET is +-(16384 + 1/2): its value is irrational, so it is never evaluated
+        grid, family = build_instance(EXP2, nset(0, 1), nset(0, Fraction(32769, 2)), nset(0, 1))
+        assert max(abs(x - bb) for x in grid.xs for bb in family.b) > EXP2_BUDGET
+        assert hits_by_point(grid, family) == naive_incidences(grid, family)[1]
 
     def test_exp2_budget_fires_on_the_shifted_argument(self, tmp_path, capsys):
         for part, values in zip("abc", ([1], [0, 16384], [0])):
