@@ -13,13 +13,18 @@ dies; `count_pairs` is the same count unkept, for sets that are read once.
 
 numpy counts only counts of NUMPY_MIN_PAIRS pairs or more, on one of two paths
 chosen from the inputs before the count starts; it is imported then.  Both
-sort one 64-bit key per pair in place.  A key no other pair shares is a value
-of multiplicity 1, so the spectrum is read from the runs of repeated keys
-alone (`_repeated_runs`), and the values and their counts are built from the
-sorted keys only when read (`PairCounts`), which then drops the keys.
+sort one key per pair in place, of at most 64 bits, but for dense counts
+(below).  A key no other pair shares is a value of multiplicity 1, so the
+spectrum is read from the runs of repeated keys alone (`_repeated_runs`), and
+the values and their counts are built from the sorted keys only when read
+(`PairCounts`), which then drops the keys.
 
 * Where int64 is proven (max|x| + max|y| < 2**62 for + and -, max|x| * max|y|
-  < 2**62 for *), the key is the value itself.
+  < 2**62 for *), the key of x * y is the value itself.  The key of x + y or
+  x - y is the value's offset from the least value, in uint32 when the width
+  hi - lo is below 2**32 and in int64 otherwise.  Dense counts, whose width
+  + 1 is at most a quarter of the pairs, sort nothing: one histogram of the
+  width's slots is counted, a quarter of the pairs at a time.
 * Otherwise, for + and - on a lattice narrower than P1 * P2 * P3 (about
   2**161), the key is the value's residue modulo the prime P1 < 2**38, shifted
   above the pair's index.  Only the runs of repeated residues are settled,
@@ -185,15 +190,18 @@ class PairCounts:
     calls the builder.  Each stage drops what built it.  Before the spectrum
     is read, `len` is `size()` where a path gives one (the pure-Python paths
     count a set of pair values, without multiplicities, at each read).  So
-    energies and `len` never build the values.  A kept count whose values
-    repeat more than 8 times on average builds them at once: as Python ints
-    they take about 46 bytes each, less than 8 bytes a pair.
+    energies and `len` never build the values.  `held` is the bytes of numpy
+    keys or histogram a count holds until then: 4 or 8 a pair, or 8 a slot of
+    the width (none on the pure-Python paths).  A kept count builds its values
+    at once when, at about 46 bytes each as Python ints, they take less room.
+    So it holds the smaller of the two, never more than 8 bytes a pair.
     """
 
-    __slots__ = ("denom", "_next", "_size", "_spectrum", "_columns")
+    __slots__ = ("denom", "held", "_next", "_size", "_spectrum", "_columns")
 
-    def __init__(self, denom: int, count, size=None):
-        self.denom, self._next, self._size, self._spectrum, self._columns = denom, count, size, None, None
+    def __init__(self, denom: int, count, size=None, held: int = 0):
+        self.denom, self.held, self._next, self._size, self._spectrum, self._columns = (
+            denom, held, count, size, None, None)
 
     @property
     def spectrum(self) -> dict[int, int]:
@@ -231,8 +239,8 @@ def pair_counts(a: NumberSet, b: NumberSet, op: str) -> PairCounts:
     if hit is None or hit[0]() is not b:  # the weak reference pins the id to b
         counts = count_pairs(a, b, op)
         counts.spectrum  # one pass for the sizes and the moments that read a kept count
-        if 8 * len(counts) < len(a) * len(b):  # the sort buffer would outweigh the values (PairCounts)
-            counts.items()  # so build them now, which drops it
+        if 46 * len(counts) < counts.held:  # the keys or histogram would outweigh the values (PairCounts)
+            counts.items()  # so build them now, which drops them
         hit = a._memo[key] = (ref(b, _forgetter(ref(a), key)), counts)
     return hit[1]
 
@@ -315,20 +323,40 @@ def _triangle_counts(ia, ib, op: str, denom: int) -> PairCounts:
 
 
 def _numpy_counts(ia, ib, op: str, denom: int) -> PairCounts:
-    """Count x op y in int64: every pair's value, sorted in place; each run is one value."""
+    """Count x op y where int64 is proven.  x * y is keyed by its value, x + y and x - y (a sum over -B) by
+    their offset from the least value lo, in the form the width picks (module docstring); built values add lo."""
     import numpy as np
 
-    ufunc = {"+": np.add, "-": np.subtract, "*": np.multiply}[op]
-    v = ufunc.outer(np.array(ia, dtype=np.int64), np.array(ib, dtype=np.int64)).ravel()
-    v.sort()
-    _, lengths = _repeated_runs(v[1:] == v[:-1])
+    x, y, lo = np.array(ia, dtype=np.int64), np.array(ib, dtype=np.int64), 0
+    if op == "*":
+        keys = np.multiply.outer(x, y).ravel()
+    else:
+        y = y if op == "+" else -y[::-1]
+        lo, x, y = int(x[0] + y[0]), x - x[0], y - y[0]
+        width = int(x[-1] + y[-1])
+        if 4 * (width + 1) <= x.size * y.size:  # a histogram of 2 bytes a pair at most, and no sort
+            hist = np.zeros(width + 1, dtype=np.intp)
+            for rows in np.array_split(x, 4):  # a quarter of the keys at a time, in intp, which bincount does not copy
+                hist += np.bincount(np.add.outer(rows, y, dtype=np.intp).ravel(), minlength=width + 1)
+
+            def build_dense():
+                offsets = np.flatnonzero(hist)
+                return (offsets + lo).tolist(), hist[offsets].tolist()
+
+            spectrum = _spectrum(x.size * y.size, hist)
+            return PairCounts(denom, lambda: (spectrum, build_dense), held=hist.nbytes)
+        dtype = np.uint32 if width < 1 << 32 else np.int64
+        keys = np.add.outer(x.astype(dtype), y.astype(dtype)).ravel()
+    del x, y  # only the keys are held from here
+    keys.sort()
+    _, lengths = _repeated_runs(keys[1:] == keys[:-1])
 
     def build():
-        starts, counts = _runs(v[1:] != v[:-1])
-        return v[starts].tolist(), counts.tolist()
+        starts, counts = _runs(keys[1:] != keys[:-1])
+        return (keys[starts].astype(np.int64) + lo).tolist(), counts.tolist()  # never lo with a uint32 key
 
-    spectrum = _spectrum(len(v), lengths)
-    return PairCounts(denom, lambda: (spectrum, build))
+    spectrum = _spectrum(len(keys), lengths)
+    return PairCounts(denom, lambda: (spectrum, build), held=keys.nbytes)
 
 
 def _residue_counts(ia, ib, op: str, denom: int) -> PairCounts:
@@ -371,7 +399,7 @@ def _residue_counts(ia, ib, op: str, denom: int) -> PairCounts:
         values = _pair_values(ia, ib, op, keys[starts[rest]] & PAIR_MASK)
         return values + list(exact), counts[rest].tolist() + list(exact.values())
 
-    return PairCounts(denom, lambda: (spectrum, build))
+    return PairCounts(denom, lambda: (spectrum, build), held=keys.nbytes)
 
 
 def _disagreeing_runs(ia, ib, sign: int, keys, starts, lengths, checks):
@@ -419,11 +447,12 @@ def _ranges(starts, lengths):
 
 
 def _spectrum(pairs: int, lengths) -> dict[int, int]:
-    """Multiplicity -> number of values, for `pairs` pairs: runs of these `lengths`, the rest singletons."""
+    """Multiplicity -> number of values, for `pairs` pairs: runs (or histogram slots) of these `lengths`, the
+    rest singletons.  A length of 0, an empty slot, is no value."""
     import numpy as np
 
     times = np.bincount(lengths)
-    mults = np.flatnonzero(times)
+    mults = np.flatnonzero(times[1:]) + 1
     spectrum = {1: pairs - int(lengths.sum())} if pairs > lengths.sum() else {}
     spectrum.update(zip(mults.tolist(), times[mults].tolist()))
     return spectrum

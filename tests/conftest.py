@@ -15,6 +15,14 @@ settings.register_profile(
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# a deeper, randomized run of the kernel tests: pytest tests/test_kernel.py --hypothesis-profile=deep
+settings.register_profile(
+    "deep",
+    max_examples=600,
+    deadline=None,
+    derandomize=False,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 settings.load_profile("exact")
 
 

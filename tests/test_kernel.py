@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from operator import neg
 from pathlib import Path
 
 import pytest
@@ -328,10 +329,11 @@ def numpy_bytes() -> int:
     return sum(t.size for t in tracemalloc.take_snapshot().filter_traces([domain]).traces)
 
 
-@pytest.mark.parametrize("den", [64, 1], ids=["residue", "int64"])
-def test_values_are_built_only_when_read(den, paths):
+@pytest.mark.parametrize("den, itemsize", [(64, 8), (1, 4)], ids=["residue", "int64"])
+def test_values_are_built_only_when_read(den, itemsize, paths):
     """The battery's E(A, A+B) keeps no numpy array once it returns; its count holds one key per pair and
-    no value array; a kept histogram drops that sort buffer once its values are read."""
+    no value array; a kept histogram drops that sort buffer once its values are read.  A residue key takes
+    8 bytes; on integers A - (A+B) spans under 2**32 (but more than a quarter of its pairs), so 4."""
     needs_numpy()
     rng, slack = random.Random(7), 1 << 16
 
@@ -343,7 +345,7 @@ def test_values_are_built_only_when_read(den, paths):
 
     a, b = rationals(64), rationals(64)
     ab = sumset(a, b)
-    keys = 8 * len(a) * len(ab)
+    keys = itemsize * len(a) * len(ab)
     tracemalloc.start()
     try:
         base = numpy_bytes()
@@ -377,6 +379,92 @@ def test_kept_heavy_count_holds_values_not_keys(offset, paths):
     assert kept.spectrum == {**{m: 2 for m in range(1, 256)}, 256: 1}  # 256 - |d| pairs give d
     assert kept.to_set() == NumberSet(range(-255, 256))
     assert paths == ["residue" if offset else "numpy"]
+
+
+def spread(seed: int, bits: int) -> list[int]:
+    """256 distinct ints in [-2**bits, 2**bits): x op y of two such sets repeats few values."""
+    return random.Random(seed).sample(range(-(1 << bits), 1 << bits), 256)
+
+
+KEY_FORMS = [
+    # (A, B, form), 256 x 256 pairs each: x op y spans 16,320, under a quarter of the pairs, so a
+    # histogram; about 2**21, so uint32 keys; about 2**41, so int64 keys
+    (range(0, 256 * 32, 32), range(-4096, 4096, 32), "dense"),
+    (spread(1, 20), spread(2, 20), "uint32"),
+    (spread(3, 40), spread(4, 40), "int64"),
+]
+
+
+@pytest.mark.parametrize("op", "+-")
+@pytest.mark.parametrize("xs, ys, form", KEY_FORMS, ids=[form for *_, form in KEY_FORMS])
+def test_count_peak_stays_within_int64_keys(op, xs, ys, form, paths):
+    """Counting x op y (the spectrum read) peaks within 8 bytes a pair, one int64 key, plus the slack: a
+    histogram is counted a quarter of the pairs at a time, and uint32 keys walk their three one-byte
+    neighbour masks in the 4 bytes they save.  int64 keys, the form of every such count before keys
+    narrowed, walk the same masks beside them: 11 bytes a pair."""
+    needs_numpy()
+    a, b = NumberSet(xs), NumberSet(ys)
+    pairs, width, slack = len(a) * len(b), a.ints[-1] - a.ints[0] + b.ints[-1] - b.ints[0], 1 << 16
+    sets.count_pairs(a, b, op)  # numpy's own first-use allocations
+    tracemalloc.start()
+    try:
+        pc = sets.count_pairs(a, b, op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pc.held == {"dense": 8 * (width + 1), "uint32": 4 * pairs, "int64": 8 * pairs}[form]
+    assert peak < (11 if form == "int64" else 8) * pairs + slack
+    assert paths == ["numpy"] * 2
+
+
+@st.composite
+def counts_at_key_cuts(draw):
+    """(A, B, op) whose x op y spans a width at a cut between key forms: width + 1 at a quarter of the
+    pairs or one past it, or 2**32 - 1 against 2**32 (2**32 - 2 against 2**32 for A with itself).  Each
+    set is shifted by any amount, or so that it holds 0, so lo is often negative."""
+    rng, op, own, dense, past = (draw(st.randoms(use_true_random=False)), draw(st.sampled_from("+-")),
+                                 draw(st.booleans()), draw(st.booleans()), draw(st.integers(0, 1)))
+    n = draw(st.integers(8, 16))
+    m = n if own else draw(st.integers(8, 16))
+    cut = n * m // 4 - 1 if dense else (1 << 32) - 1  # the widest width of the narrower form
+    if own:  # x op x' spans twice A's width
+        wa = wb = cut // 2 + past
+    else:
+        wa = draw(st.integers(n - 1, cut + past - (m - 1)))
+        wb = cut + past - wa
+
+    def shifted(size, span):
+        xs = [0, span, *rng.sample(range(1, span), size - 2)]
+        shift = draw(st.one_of(st.integers(-(1 << 40), 1 << 40), st.sampled_from(xs).map(neg)))
+        return NumberSet(x + shift for x in xs)
+
+    a = shifted(n, wa)
+    return a, (a if own else shifted(m, wb)), op
+
+
+@WITH_FIXTURE
+@given(counts_at_key_cuts())
+def test_key_forms_at_their_cuts_match_the_oracles(paths, count):
+    """Either side of each cut, the count takes the form its width picks and reads as the oracles do:
+    len, the spectrum, the items, the set, and E(A, B) by differences and by sums."""
+    needs_numpy()
+    a, b, op = count
+    saved, sets.NUMPY_MIN_PAIRS = sets.NUMPY_MIN_PAIRS, 0
+    paths.clear()
+    try:
+        pairs, width = len(a) * len(b), a.ints[-1] - a.ints[0] + b.ints[-1] - b.ints[0]
+        want = naive_rep(a, b, MODES[op])
+        fresh, pc = sets.count_pairs(a, b, op), sets.count_pairs(a, b, op)
+        assert len(fresh) == len(want)
+        assert pc.held == (8 * (width + 1) if 4 * (width + 1) <= pairs else 4 * pairs if width < 1 << 32
+                           else 8 * pairs)
+        assert pc.spectrum == Counter(want.values())
+        assert histogram(pc) == want
+        assert pc.to_set() == NumberSet(want)
+        assert energy(a, b) == energy(a, b, via="sum") == sum(c * c for c in naive_rep(a, b, "difference").values())
+        assert set(paths) == {"numpy"}
+    finally:
+        sets.NUMPY_MIN_PAIRS = saved
 
 
 POWERS = [1 << k for k in range(120)]
